@@ -35,8 +35,10 @@ __all__ = [
     "PenaltyConfig",
     "cost",
     "cost_grad",
+    "cost_batch",
     "penalty_actionable",
     "penalty_coherence",
+    "penalties_batch",
     "cond",
 ]
 
@@ -268,24 +270,51 @@ def cost(x: np.ndarray, x_tilde: np.ndarray, cm: CostModel,
 
 def cost_grad(x: np.ndarray, x_tilde: np.ndarray, cm: CostModel,
               schema: FeatureSchema) -> np.ndarray:
-    """Gradient of :func:`cost` with respect to x_tilde."""
-    x = schema.check_vector(x)
-    x_tilde = schema.check_vector(x_tilde)
-    grad = np.zeros_like(x_tilde)
-    for term in cm.quadratic:
-        i = schema.index(term.feature)
-        grad[i] += 2.0 * term.weight * (x_tilde[i] - x[i])
-    for term in cm.linear:
-        i = schema.index(term.feature)
-        grad[i] += term.weight
+    """Gradient of :func:`cost` with respect to x_tilde (one-row view of
+    :func:`cost_batch`)."""
+    x, x_tilde = schema.check_vector(x), schema.check_vector(x_tilde)
+    return cost_batch(x, x_tilde[None, :], cm, schema)[1][0]
+
+
+def cost_batch(x: np.ndarray, x_tilde: np.ndarray, cm: CostModel,
+               schema: FeatureSchema) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`cost` and its gradient for every row of an (n, d) x_tilde;
+    the terms are gathered once per call into dense per-feature weights."""
+    d = len(schema.features)
+    quad, lin, trig = np.zeros(d), np.zeros(d), np.zeros(d)
+    for dense, terms, attr in ((quad, cm.quadratic, "weight"),
+                               (lin, cm.linear, "weight"),
+                               (trig, cm.triggers, "cost_on")):
+        for term in terms:
+            dense[schema.index(term.feature)] += getattr(term, attr)
+    x = np.asarray(x, dtype=float)
+    x_tilde = np.asarray(x_tilde, dtype=float)
+    step = x_tilde - x
+    value = np.sum(quad * step ** 2 + lin * step
+                   + trig * np.maximum(step, 0.0), axis=1)
+    grad = 2.0 * quad * step + lin + trig * (step > 0.0)
     for term in cm.transitions:
         idx = _resolve_group(schema, term)
-        grad[idx] += term.matrix.T @ x[idx]
-    for term in cm.triggers:
-        i = schema.index(term.feature)
-        if x_tilde[i] > x[i]:
-            grad[i] += term.cost_on
-    return grad
+        pull = x[idx] @ term.matrix
+        value = value + x_tilde[:, idx] @ pull
+        grad[:, idx] += pull
+    return value, grad
+
+
+def penalties_batch(x_tilde: np.ndarray, schema: FeatureSchema,
+                    pc: PenaltyConfig, box: tuple[np.ndarray, np.ndarray]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Box plus coherence penalty (value, gradient) for every row at once."""
+    lo, hi = box
+    value = pc.actionable_weight * np.sum(
+        np.maximum(0.0, x_tilde - hi) + np.maximum(0.0, lo - x_tilde), axis=1)
+    grad = pc.actionable_weight * (
+        (x_tilde > hi).astype(float) - (x_tilde < lo).astype(float))
+    for idx in schema.onehot_groups.values():
+        drift = 1.0 - x_tilde[:, list(idx)].sum(axis=1)
+        value = value + pc.coherence_weight * drift * drift
+        grad[:, list(idx)] += (-2.0 * pc.coherence_weight * drift)[:, None]
+    return value, grad
 
 
 def penalty_actionable(x_tilde: np.ndarray, schema: FeatureSchema,

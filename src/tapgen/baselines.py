@@ -15,17 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actionability import CostModel, FeatureSchema, cond, cost
+from .actionability import CostModel, FeatureSchema, cond
 from .netcore import (
     DenseClassifier,
     forward_cache,
-    input_gradient,
+    forward_cache_batch,
+    input_gradient_batch,
     logit_input_gradient,
-    predict_logits,
     predict_proba,
 )
-from .perturb import TapCandidate, _check_problem, _frozen
-from .probspace import DivergenceSpec, TargetSet, kl_divergence, target_distance
+from .perturb import (TapCandidate, _adam_step, _check_problem, _descend,
+                      _package)
+from .probspace import DivergenceSpec, TargetSet, kl_divergence
 
 __all__ = [
     "BaselineResult",
@@ -40,16 +41,6 @@ class BaselineResult:
     candidate: TapCandidate
     flipped: bool
     trials: tuple[TapCandidate, ...]
-
-
-def _package(model, schema, cm, target, div, x, x_tilde, lam, iterations
-             ) -> TapCandidate:
-    epsilon = float(cost(x, x_tilde, cm, schema))
-    delta = float(target_distance(predict_proba(model, x_tilde), target, div))
-    objective = delta if epsilon == 0.0 else delta + lam * epsilon
-    return TapCandidate(x=_frozen(x), x_tilde=_frozen(x_tilde), lam=float(lam),
-                        epsilon=epsilon, delta=delta, objective=objective,
-                        iterations=iterations)
 
 
 def mad_weights(train_x: np.ndarray) -> np.ndarray:
@@ -104,43 +95,33 @@ def wachter_counterfactual(model: DenseClassifier, schema: FeatureSchema,
 
     mean, std = model.mean, model.std
     lo, hi = schema.box_for(x)
-    u_lo, u_hi = (lo - mean) / std, (hi - mean) / std
     scale = mad_weights(train_x)
+    lams = np.array(lambdas)
 
-    def run(lam: float) -> np.ndarray:
-        u = (x - mean) / std
-        m = np.zeros_like(u)
-        v = np.zeros_like(u)
-        best_loss, best_u = math.inf, u.copy()
-        warmup = max_iters // 2
-        for t in range(1, max_iters + 1):
-            x_now = u * std + mean
-            cache = forward_cache(model, x_now)
-            p_w = float(cache.probs[desired_class])
-            upstream = np.zeros(model.num_classes)
-            upstream[desired_class] = 2.0 * (p_w - 1.0)
-            grad = input_gradient(model, x_now, upstream, cache)
-            dist = float(np.sum(np.abs(x_now - x) / scale))
-            loss = (p_w - 1.0) ** 2 + lam * dist
-            if loss < best_loss:
-                best_loss, best_u = loss, u.copy()
-            lam_eff = lam if t > warmup else 0.0
-            grad = (grad + lam_eff * np.sign(x_now - x) / scale) * std
-            norm = float(np.linalg.norm(grad))
-            if norm > 0.0:
-                grad = grad / norm
-            m = 0.9 * m + 0.1 * grad
-            v = 0.999 * v + 0.001 * grad * grad
-            u = u - lr * (m / (1.0 - 0.9 ** t)) / (
-                np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
-            u = np.clip(u, u_lo, u_hi)
-        return best_u
+    def evaluate(rows, u, cost_on):
+        x_now = u * std + mean
+        cache = forward_cache_batch(model, x_now)
+        p_w = cache.probs[:, desired_class]
+        upstream = np.zeros_like(cache.probs)
+        upstream[:, desired_class] = 2.0 * (p_w - 1.0)
+        lam = lams[rows]
+        loss = (p_w - 1.0) ** 2 + lam * np.sum(np.abs(x_now - x) / scale,
+                                                axis=1)
+        lam_eff = lam if cost_on else np.zeros_like(lam)
+        grad = (input_gradient_batch(model, cache, upstream)
+                + lam_eff[:, None] * np.sign(x_now - x) / scale)
+        return loss, grad * std
+
+    # the loss is tracked at each start-of-step point, so the last of the
+    # max_iters steps would never be scored and is not taken
+    u_best = _descend(evaluate, np.tile((x - mean) / std, (lams.size, 1)),
+                      max(max_iters - 1, 0), lr, max_iters // 2,
+                      bounds=((lo - mean) / std, (hi - mean) / std))[0]
 
     trials: list[TapCandidate] = []
     flips: list[TapCandidate] = []
-    for lam in lambdas:
-        u_best = run(lam)
-        x_tilde = cond(u_best * std + mean, schema, (lo, hi))
+    for lam, u in zip(lambdas, u_best):
+        x_tilde = cond(u * std + mean, schema, (lo, hi))
         cand = _package(model, schema, cm, target, div, x, x_tilde, lam,
                         max_iters)
         trials.append(cand)
@@ -192,43 +173,31 @@ def cw_l2(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
     w0 = np.arctanh(z0)
     others = [i for i in range(model.num_classes) if i != attack_class]
 
-    def margin_and_grad(x_now):
-        logits = predict_logits(model, x_now)
-        j = others[int(np.argmax(logits[others]))]
-        margin = float(logits[j] - logits[attack_class])
-        upstream = np.zeros(model.num_classes)
-        upstream[j] = 1.0
-        upstream[attack_class] = -1.0
-        return margin, upstream
-
     def attack(c: float) -> tuple[bool, float, np.ndarray]:
-        w = w0.copy()
-        m = np.zeros_like(w)
-        v = np.zeros_like(w)
+        w = w0[None, :]
+        m = v = np.zeros_like(w)
         best_l2, best_x = math.inf, None
         for t in range(1, max_iters + 1):
-            th = np.tanh(w)
+            th = np.tanh(w[0])
             x_now = center + half * th
-            margin, upstream = margin_and_grad(x_now)
+            cache = forward_cache(model, x_now)
+            j = others[int(np.argmax(cache.logits[others]))]
+            margin = float(cache.logits[j] - cache.logits[attack_class])
             if margin < 0.0:   # strictly attacking: argmax is attack_class
                 l2 = float(np.sum((x_now - x) ** 2))
                 if l2 < best_l2:
                     best_l2, best_x = l2, x_now.copy()
             grad_x = 2.0 * (x_now - x)
             if margin > -kappa:
+                upstream = np.zeros(model.num_classes)
+                upstream[j] = 1.0
+                upstream[attack_class] = -1.0
                 grad_x = grad_x + c * logit_input_gradient(model, x_now,
-                                                           upstream)
+                                                           upstream, cache)
             grad_w = grad_x * half * (1.0 - th * th)
-            norm = float(np.linalg.norm(grad_w))
-            if norm > 0.0:
-                grad_w = grad_w / norm
-            m = 0.9 * m + 0.1 * grad_w
-            v = 0.999 * v + 0.001 * grad_w * grad_w
-            w = w - lr * (m / (1.0 - 0.9 ** t)) / (
-                np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
+            w, m, v = _adam_step(w, grad_w[None, :], m, v, t, lr)
         if best_x is None:
-            th = np.tanh(w)
-            return False, math.inf, center + half * th
+            return False, math.inf, center + half * np.tanh(w[0])
         return True, best_l2, best_x
 
     trials: list[TapCandidate] = []

@@ -31,7 +31,9 @@ __all__ = [
     "predict_proba_batch",
     "predict_logits",
     "forward_cache",
+    "forward_cache_batch",
     "input_gradient",
+    "input_gradient_batch",
     "logit_input_gradient",
     "ece",
     "ece_from_probs",
@@ -141,6 +143,18 @@ def forward_cache(model: DenseClassifier, x: np.ndarray) -> ForwardCache:
                         logits[0], probs[0])
 
 
+def forward_cache_batch(model: DenseClassifier, x: np.ndarray) -> ForwardCache:
+    """:func:`forward_cache` for every row of an (n, d) matrix at once.  The
+    products are stacked matrix-vector products, so each row rounds exactly
+    as it does alone and no row depends on the others in the batch."""
+    xs = _standardize(model, np.asarray(x, dtype=float))
+    pres, acts, logits = _forward_batch(model.weights, model.biases,
+                                        xs[:, None, :])
+    logits = logits[:, 0]
+    return ForwardCache(xs, [z[:, 0] for z in pres], [a[:, 0] for a in acts],
+                        logits, _softmax(logits / model.temperature))
+
+
 def predict_proba(model: DenseClassifier, x: np.ndarray) -> np.ndarray:
     return forward_cache(model, x).probs
 
@@ -181,6 +195,19 @@ def input_gradient(model: DenseClassifier, x: np.ndarray,
     s = cache.probs
     g_logits = s * (upstream - float(s @ upstream)) / model.temperature
     return _backward_from_logits(model, cache, g_logits)
+
+
+def input_gradient_batch(model: DenseClassifier, cache: ForwardCache,
+                         upstream: np.ndarray) -> np.ndarray:
+    """Row-wise J^T upstream for a cache from :func:`forward_cache_batch`,
+    rounding exactly as :func:`input_gradient` does on each row."""
+    s = cache.probs
+    agree = (s[:, None, :] @ upstream[:, :, None])[:, 0]
+    g = (model.weights[-1].T @ (s * (upstream - agree) / model.temperature
+                                )[:, :, None])
+    for w, pre in zip(reversed(model.weights[:-1]), reversed(cache.pre)):
+        g = w.T @ (g * (pre > 0.0)[:, :, None])
+    return g[:, :, 0] / model.std
 
 
 def logit_input_gradient(model: DenseClassifier, x: np.ndarray,
@@ -497,7 +524,27 @@ def save_model(model: DenseClassifier, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=1) + "\n")
 
 
+def _shape_problem(model: DenseClassifier) -> str | None:
+    dims = model.layer_dims
+    if len(dims) < 2 or min(dims) < 1:
+        return f"layer_dims {list(dims)} must list at least two positive sizes"
+    pairs = list(zip(dims[:-1], dims[1:]))
+    if ([w.shape for w in model.weights] != [(o, i) for i, o in pairs]
+            or [b.shape for b in model.biases] != [(o,) for _, o in pairs]):
+        return f"weight or bias shapes do not match layer_dims {list(dims)}"
+    if model.mean.shape != (dims[0],) or model.std.shape != (dims[0],):
+        return f"standardizer length does not match {dims[0]} inputs"
+    values = [*model.weights, *model.biases, model.mean, model.std,
+              np.array([model.temperature])]
+    if not all(np.all(np.isfinite(v)) for v in values):
+        return "parameters must be finite"
+    if np.any(model.std <= 0.0) or model.temperature <= 0.0:
+        return "standardizer std and temperature must be positive"
+    return None
+
+
 def load_model(path) -> DenseClassifier:
+    """Read a saved model; a malformed file raises ValueError."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"model file not found: {path}")
@@ -505,16 +552,24 @@ def load_model(path) -> DenseClassifier:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"model file {path} is not valid: {exc}") from None
-    if payload.get("kind") != "dense-softmax-classifier":
+    kind = payload.get("kind") if isinstance(payload, dict) else None
+    if kind != "dense-softmax-classifier":
         raise ValueError(f"model file {path} has unknown kind")
-    return DenseClassifier(
-        layer_dims=tuple(payload["layer_dims"]),
-        weights=[np.array(w, dtype=float) for w in payload["weights"]],
-        biases=[np.array(b, dtype=float) for b in payload["biases"]],
-        mean=np.array(payload["standardizer"]["mean"], dtype=float),
-        std=np.array(payload["standardizer"]["std"], dtype=float),
-        dropout_rate=float(payload["dropout_rate"]),
-        temperature=float(payload.get("temperature", 1.0)),
-        seed=int(payload["seed"]),
-        metadata=payload["metadata"],
-    )
+    try:
+        model = DenseClassifier(
+            layer_dims=tuple(int(v) for v in payload["layer_dims"]),
+            weights=[np.array(w, dtype=float) for w in payload["weights"]],
+            biases=[np.array(b, dtype=float) for b in payload["biases"]],
+            mean=np.array(payload["standardizer"]["mean"], dtype=float),
+            std=np.array(payload["standardizer"]["std"], dtype=float),
+            dropout_rate=float(payload["dropout_rate"]),
+            temperature=float(payload.get("temperature", 1.0)),
+            seed=int(payload["seed"]),
+            metadata=payload["metadata"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"model file {path} is malformed: {exc!r}") from None
+    problem = _shape_problem(model)
+    if problem is not None:
+        raise ValueError(f"model file {path}: {problem}")
+    return model

@@ -13,6 +13,11 @@ inside the individual's actionable box.  The reported epsilon (cost) and
 delta (distance of M's output from the target region) are recomputed at
 that discrete point.
 
+Every search here (a frontier over lam, a budget walk, the repair attempts)
+runs as one batched descent over an (n, d) matrix, one row per run; each
+row keeps its own lam, thresholds, start, moments, best iterate, patience
+counter and divergence flag, so rows never influence each other.
+
 Budgets are met by walking lam geometrically: down for a delta ceiling
 (spend more until close enough), up for an epsilon ceiling (spend less until
 affordable, with the zero-change candidate as the always-affordable floor).
@@ -33,17 +38,21 @@ from .actionability import (
     PenaltyConfig,
     cond,
     cost,
-    cost_grad,
-    penalty_actionable,
-    penalty_coherence,
+    cost_batch,
+    penalties_batch,
 )
-from .netcore import DenseClassifier, forward_cache, input_gradient, predict_proba
+from .netcore import (
+    DenseClassifier,
+    forward_cache,
+    forward_cache_batch,
+    input_gradient_batch,
+)
 from .probspace import (
     DivergenceSpec,
     TargetSet,
     kl_divergence,
     target_distance,
-    target_distance_grad,
+    target_distance_batch,
 )
 from .rng import substream
 
@@ -151,7 +160,7 @@ def trivial_candidate(model: DenseClassifier, schema: FeatureSchema,
     div = div if div is not None else kl_divergence()
     _check_problem(model, schema, target)
     x = schema.check_vector(x)
-    delta = target_distance(predict_proba(model, x), target, div)
+    delta = target_distance(forward_cache(model, x).probs, target, div)
     return TapCandidate(
         x=_frozen(x), x_tilde=_frozen(x), lam=math.inf,
         epsilon=float(cost(x, x, cm, schema)), delta=float(delta),
@@ -159,12 +168,93 @@ def trivial_candidate(model: DenseClassifier, schema: FeatureSchema,
     )
 
 
-def generate_candidate(model: DenseClassifier, schema: FeatureSchema,
-                       cm: CostModel, target: TargetSet, x: np.ndarray,
-                       oc: OptConfig, div: DivergenceSpec | None = None,
-                       penalty: PenaltyConfig | None = None,
-                       x_start: np.ndarray | None = None) -> TapCandidate:
-    """Run one descent at oc.lam and return the discretized best point."""
+def _adam_step(u: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
+               t: int, lr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One normalized-ADAM step for every row of u; returns (u, m, v)."""
+    # Unit-normalize so adaptive steps survive the saturated regime, where
+    # the raw gradient can sit below the moment-epsilon floor.  The batched
+    # dot product rounds exactly as np.linalg.norm does on one row.
+    norm = np.sqrt(grad[:, None, :] @ grad[:, :, None])[:, 0]
+    grad = grad / np.where(norm > 0.0, norm, 1.0)
+    m = 0.9 * m + 0.1 * grad
+    v = 0.999 * v + 0.001 * grad * grad
+    m_hat = m / (1.0 - 0.9 ** t)
+    v_hat = v / (1.0 - 0.999 ** t)
+    return u - lr * m_hat / (np.sqrt(v_hat) + 1e-8), m, v
+
+
+def _descend(evaluate, u: np.ndarray, steps: int, lr: float, warmup: int,
+             tol: float = 0.0, patience: float = math.inf, bounds=None):
+    """Normalized-ADAM descent on every row of u at once.
+
+    ``evaluate(rows, u_rows, cost_on)`` gives the tracked objective and the
+    step gradient of those rows; ``cost_on`` is False for the first
+    ``warmup`` evaluations.  A row stops after warmup once its objective
+    moved less than ``tol`` for ``patience`` steps running, or at once when
+    it turns non-finite.  ``bounds`` clips every step.  Returns the best
+    rows, steps taken, the step each row diverged at (-1: never, 0: at the
+    start) and the (steps + 1, n) objective history.
+    """
+    n = u.shape[0]
+    u = u.copy()
+    history = np.full((steps + 1, n), np.nan)
+    value, grad = evaluate(np.arange(n), u, warmup < 1)
+    history[0] = value
+    diverged = np.where(np.isfinite(value) & np.isfinite(grad).all(1), -1, 0)
+    active = diverged < 0
+    best_value, best_u, prev = value.copy(), u.copy(), value.copy()
+    m, v = np.zeros_like(u), np.zeros_like(u)
+    stall, iterations = np.zeros((2, n), dtype=int)
+    for t in range(1, steps + 1):
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
+            break
+        u_rows, m[rows], v[rows] = _adam_step(u[rows], grad[rows], m[rows],
+                                              v[rows], t, lr)
+        if bounds is not None:
+            u_rows = np.clip(u_rows, *bounds)
+        u[rows] = u_rows
+        value, grad[rows] = evaluate(rows, u_rows, t + 1 > warmup)
+        history[t, rows] = value
+        iterations[rows] = t
+        ok = np.isfinite(value) & np.isfinite(grad[rows]).all(1)
+        diverged[rows[~ok]] = t
+        better = ok & (value < best_value[rows])
+        best_value[rows[better]] = value[better]
+        best_u[rows[better]] = u_rows[better]
+        if t > warmup:
+            stall[rows] = np.where(np.abs(value - prev[rows]) < tol,
+                                   stall[rows] + 1, 0)
+        prev[rows] = value
+        active[rows] = ok & (stall[rows] < patience)
+    return best_u, iterations, diverged, history
+
+
+def _package(model, schema, cm, target, div, x, x_tilde, lam, iterations
+             ) -> TapCandidate:
+    """Price a final point: epsilon and delta recomputed at x_tilde."""
+    epsilon = float(cost(x, x_tilde, cm, schema))
+    delta = float(target_distance(forward_cache(model, x_tilde).probs,
+                                  target, div))
+    objective = delta if epsilon == 0.0 else delta + lam * epsilon
+    return TapCandidate(x=_frozen(x), x_tilde=_frozen(x_tilde), lam=float(lam),
+                        epsilon=epsilon, delta=delta, objective=objective,
+                        iterations=int(iterations))
+
+
+def _search(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
+            target: TargetSet, x: np.ndarray, lams, oc: OptConfig,
+            div: DivergenceSpec | None = None,
+            penalty: PenaltyConfig | None = None, starts=None, targets=None
+            ) -> list:
+    """One descent per lam, all rows at once, in the order given.
+
+    Row i descends from starts[i] (default x) toward targets[i] (default
+    target; same classes, own thresholds) and is priced against target.
+    Each row yields a TapCandidate, or the DivergedError it ran into.
+    """
+    if len(lams) == 0:
+        return []
     div = div if div is not None else kl_divergence()
     penalty = penalty if penalty is not None else PenaltyConfig()
     _check_problem(model, schema, target)
@@ -174,28 +264,27 @@ def generate_candidate(model: DenseClassifier, schema: FeatureSchema,
     lo, hi = schema.box_for(x)
     if np.any(x < lo - 1e-9) or np.any(x > hi + 1e-9):
         raise ValueError("origin point lies outside the feature bounds")
-
+    lams = np.asarray(lams, dtype=float)
+    targets = [target] * lams.size if targets is None else targets
+    p, q = np.array([(t.p, t.q) for t in targets]).T
+    starts = np.tile(x, (lams.size, 1)) if starts is None else starts
     mean, std = model.mean, model.std
-    mutable = schema.mutable_mask
-    u_origin = (x - mean) / std
-    start = x if x_start is None else schema.check_vector(x_start)
-    u = (start - mean) / std
+    frozen = ~schema.mutable_mask
 
-    def evaluate(u_now: np.ndarray, lam_eff: float
-                 ) -> tuple[float, np.ndarray]:
-        """Full-lam objective for tracking, lam_eff gradient for stepping."""
+    def evaluate(rows, u_now, cost_on):
+        """Full-lam objective for tracking, muted-lam gradient for stepping."""
         x_now = u_now * std + mean
-        cache = forward_cache(model, x_now)
-        dist = target_distance(cache.probs, target, div)
-        grad_dist = input_gradient(model, x_now, target_distance_grad(
-            cache.probs, target, div), cache)
-        box_val, box_grad = penalty_actionable(x_now, schema, penalty, (lo, hi))
-        grp_val, grp_grad = penalty_coherence(x_now, schema, penalty)
-        value = dist + oc.lam * cost(x, x_now, cm, schema) + box_val + grp_val
-        step_grad = (grad_dist + lam_eff * cost_grad(x, x_now, cm, schema)
-                     + box_grad + grp_grad) * std
-        step_grad[~mutable] = 0.0
-        return value, step_grad
+        cache = forward_cache_batch(model, x_now)
+        dist, up = target_distance_batch(cache.probs, target, div,
+                                         p[rows], q[rows])
+        price, price_grad = cost_batch(x, x_now, cm, schema)
+        pen, pen_grad = penalties_batch(x_now, schema, penalty, (lo, hi))
+        lam = lams[rows]
+        lam_eff = lam if cost_on else np.zeros_like(lam)
+        step = (input_gradient_batch(model, cache, up)
+                + lam_eff[:, None] * price_grad + pen_grad) * std
+        step[:, frozen] = 0.0
+        return dist + lam * price + pen, step
 
     # Two-phase schedule: the cost term is muted for the first half of the
     # run and switches on at full weight afterwards.  From the origin the
@@ -204,60 +293,41 @@ def generate_candidate(model: DenseClassifier, schema: FeatureSchema,
     # origin; chasing the target first and then letting the pull-back
     # retrace the trade-off curve covers both regimes, and the best
     # full-objective iterate is what gets returned either way.
-    warmup = oc.max_iters // 2
+    best_u, iterations, diverged, history = _descend(
+        evaluate, (starts - mean) / std, oc.max_iters, oc.lr,
+        oc.max_iters // 2, oc.tol, oc.patience)
+    u_origin = (x - mean) / std
+    results = []
+    for i, lam in enumerate(lams):
+        t = int(diverged[i])
+        if t >= 0:
+            message = ("objective not finite at the starting point" if t == 0
+                       else f"objective diverged at iteration {t} "
+                            f"(lam={lam:g})")
+            results.append(DivergedError(message, history[:t + 1, i].tolist()))
+            continue
+        # coordinates that barely moved snap back exactly before rounding
+        moved = best_u[i].copy()
+        dust = np.abs(moved - u_origin) < oc.snap_tol
+        moved[dust] = u_origin[dust]
+        x_tilde = cond(moved * std + mean, schema, (lo, hi))
+        results.append(_package(model, schema, cm, target, div, x, x_tilde,
+                                lam, iterations[i]))
+    return results
 
-    def effective_lam(t: int) -> float:
-        return oc.lam if t > warmup else 0.0
 
-    value, grad = evaluate(u, effective_lam(1))
-    trace = [value]
-    if not (math.isfinite(value) and np.all(np.isfinite(grad))):
-        raise DivergedError("objective not finite at the starting point", trace)
-    best_value, best_u = value, u.copy()
-    prev = value
-    m = np.zeros_like(u)
-    v = np.zeros_like(u)
-    stall = 0
-    iterations = 0
-    for t in range(1, oc.max_iters + 1):
-        # Unit-normalize so adaptive steps survive the saturated regime,
-        # where the raw gradient can sit below the moment-epsilon floor.
-        norm = float(np.linalg.norm(grad))
-        if norm > 0.0:
-            grad = grad / norm
-        m = 0.9 * m + 0.1 * grad
-        v = 0.999 * v + 0.001 * grad * grad
-        m_hat = m / (1.0 - 0.9 ** t)
-        v_hat = v / (1.0 - 0.999 ** t)
-        u = u - oc.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
-        value, grad = evaluate(u, effective_lam(t + 1))
-        trace.append(value)
-        iterations = t
-        if not (math.isfinite(value) and np.all(np.isfinite(grad))):
-            raise DivergedError(
-                f"objective diverged at iteration {t} (lam={oc.lam:g})", trace
-            )
-        if value < best_value:
-            best_value, best_u = value, u.copy()
-        if t > warmup:
-            stall = stall + 1 if abs(value - prev) < oc.tol else 0
-        prev = value
-        if stall >= oc.patience:
-            break
-
-    moved = best_u.copy()
-    dust = np.abs(moved - u_origin) < oc.snap_tol
-    moved[dust] = u_origin[dust]
-    x_tilde = cond(moved * std + mean, schema, (lo, hi))
-
-    epsilon = float(cost(x, x_tilde, cm, schema))
-    delta = float(target_distance(predict_proba(model, x_tilde), target, div))
-    objective = delta if epsilon == 0.0 else delta + oc.lam * epsilon
-    return TapCandidate(
-        x=_frozen(x), x_tilde=_frozen(x_tilde), lam=oc.lam,
-        epsilon=epsilon, delta=delta, objective=objective,
-        iterations=iterations,
-    )
+def generate_candidate(model: DenseClassifier, schema: FeatureSchema,
+                       cm: CostModel, target: TargetSet, x: np.ndarray,
+                       oc: OptConfig, div: DivergenceSpec | None = None,
+                       penalty: PenaltyConfig | None = None,
+                       x_start: np.ndarray | None = None) -> TapCandidate:
+    """Run one descent at oc.lam and return the discretized best point."""
+    starts = None if x_start is None else schema.check_vector(x_start)[None, :]
+    (result,) = _search(model, schema, cm, target, x, [oc.lam], oc, div,
+                        penalty, starts=starts)
+    if isinstance(result, DivergedError):
+        raise result
+    return result
 
 
 @dataclass(frozen=True)
@@ -290,36 +360,30 @@ def meet_budget(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
     if trials < 1 or factor <= 1.0:
         raise ValueError("need trials >= 1 and factor > 1")
     noop = trivial_candidate(model, schema, cm, target, x, div)
-    tried: list[TapCandidate] = []
-
     if delta_max is not None:
         if delta_max < 0.0:
             raise ValueError("delta_max must be nonnegative")
         if noop.delta <= delta_max:
             return BudgetOutcome(noop, True, "delta", delta_max, (noop,))
-        lam = oc.lam
-        for _ in range(trials):
-            cand = generate_candidate(model, schema, cm, target, x,
-                                      dataclasses.replace(oc, lam=lam),
-                                      div=div, penalty=penalty)
-            tried.append(cand)
-            if cand.delta <= delta_max:
-                return BudgetOutcome(cand, True, "delta", delta_max, tuple(tried))
-            lam /= factor
+    elif epsilon_max < 0.0:
+        raise ValueError("epsilon_max must be nonnegative")
+    lams = [oc.lam]
+    for _ in range(trials - 1):
+        lams.append(lams[-1] / factor if delta_max is not None
+                    else lams[-1] * factor)
+    tried: list[TapCandidate] = []
+    for cand in _search(model, schema, cm, target, x, lams, oc, div, penalty):
+        if isinstance(cand, DivergedError):
+            raise cand
+        tried.append(cand)
+        if delta_max is not None and cand.delta <= delta_max:
+            return BudgetOutcome(cand, True, "delta", delta_max, tuple(tried))
+        if epsilon_max is not None and cand.epsilon <= epsilon_max:
+            return BudgetOutcome(cand, True, "epsilon", epsilon_max,
+                                 tuple(tried))
+    if delta_max is not None:
         best = min(tried, key=lambda c: c.delta)
         return BudgetOutcome(best, False, "delta", delta_max, tuple(tried))
-
-    if epsilon_max < 0.0:
-        raise ValueError("epsilon_max must be nonnegative")
-    lam = oc.lam
-    for _ in range(trials):
-        cand = generate_candidate(model, schema, cm, target, x,
-                                  dataclasses.replace(oc, lam=lam),
-                                  div=div, penalty=penalty)
-        tried.append(cand)
-        if cand.epsilon <= epsilon_max:
-            return BudgetOutcome(cand, True, "epsilon", epsilon_max, tuple(tried))
-        lam *= factor
     tried.append(noop)
     return BudgetOutcome(noop, True, "epsilon", epsilon_max, tuple(tried))
 
@@ -342,17 +406,11 @@ def frontier_sweep(model: DenseClassifier, schema: FeatureSchema,
                    div: DivergenceSpec | None = None,
                    penalty: PenaltyConfig | None = None) -> SweepResult:
     """One candidate per lam, sorted by epsilon; diverged runs are logged."""
-    candidates: list[TapCandidate] = []
-    failures: list[tuple[float, str]] = []
-    for lam in lambdas:
-        try:
-            candidates.append(generate_candidate(
-                model, schema, cm, target, x,
-                dataclasses.replace(oc, lam=float(lam)),
-                div=div, penalty=penalty,
-            ))
-        except DivergedError as err:
-            failures.append((float(lam), str(err)))
+    lams = [float(lam) for lam in lambdas]
+    results = _search(model, schema, cm, target, x, lams, oc, div, penalty)
+    candidates = [r for r in results if isinstance(r, TapCandidate)]
+    failures = [(lam, str(r)) for lam, r in zip(lams, results)
+                if isinstance(r, DivergedError)]
     if include_noop:
         candidates.append(trivial_candidate(model, schema, cm, target, x, div))
     candidates.sort(key=lambda c: (c.epsilon, c.delta))
@@ -404,49 +462,38 @@ def repair_on_rejection(model: DenseClassifier, verifier, cal,
     """
     from .verify import verify_pair
 
-    div = div if div is not None else kl_divergence()
-    x = np.asarray(rejected.x, dtype=float)
-    attempts: list[RepairAttempt] = []
     for strategy in strategies:
         if strategy not in ("decrease_lambda", "shrink_target", "random_restart"):
             raise ValueError(f"unknown repair strategy {strategy!r}")
-        for a in range(1, attempts_per_strategy + 1):
-            try:
-                if strategy == "decrease_lambda":
-                    cand = generate_candidate(
-                        model, schema, cm, target, x,
-                        dataclasses.replace(oc, lam=oc.lam / (2.0 ** a)),
-                        div=div, penalty=penalty,
-                    )
-                elif strategy == "shrink_target":
-                    cand = generate_candidate(
-                        model, schema, cm, _tightened(target, 0.05 * a), x,
-                        oc, div=div, penalty=penalty,
-                    )
-                    delta = target_distance(
-                        predict_proba(model, cand.x_tilde), target, div)
-                    objective = delta if cand.epsilon == 0.0 else (
-                        delta + cand.lam * cand.epsilon)
-                    cand = dataclasses.replace(cand, delta=delta,
-                                               objective=objective)
-                else:
-                    rng = substream(oc.seed, f"repair-restart-{a}")
-                    jitter = 0.5 * a * model.std * rng.standard_normal(x.size)
-                    jitter[~schema.mutable_mask] = 0.0
-                    lo, hi = schema.box_for(x)
-                    start = np.clip(x + jitter, lo, hi)
-                    cand = generate_candidate(
-                        model, schema, cm, target, x, oc,
-                        div=div, penalty=penalty, x_start=start,
-                    )
-            except DivergedError as err:
-                attempts.append(RepairAttempt(strategy, a, None, str(err)))
-                continue
-            cand = cand.with_verdict(
-                verify_pair(model, verifier, cal, x, cand.x_tilde))
-            attempts.append(RepairAttempt(strategy, a, cand))
-            if cand.verified:
-                return RepairOutcome(cand, True, strategy, tuple(attempts))
+    x = np.asarray(rejected.x, dtype=float)
+    lo, hi = schema.box_for(x)
+    rows = [(strategy, a) for strategy in strategies
+            for a in range(1, attempts_per_strategy + 1)]
+    lams, targets, starts = [], [], []
+    for strategy, a in rows:
+        lams.append(oc.lam / (2.0 ** a) if strategy == "decrease_lambda"
+                    else oc.lam)
+        targets.append(_tightened(target, 0.05 * a)
+                       if strategy == "shrink_target" else target)
+        start = x
+        if strategy == "random_restart":
+            rng = substream(oc.seed, f"repair-restart-{a}")
+            jitter = 0.5 * a * model.std * rng.standard_normal(x.size)
+            jitter[~schema.mutable_mask] = 0.0
+            start = np.clip(x + jitter, lo, hi)
+        starts.append(start)
+    results = _search(model, schema, cm, target, x, lams, oc, div, penalty,
+                      starts=np.array(starts), targets=targets)
+    attempts: list[RepairAttempt] = []
+    for (strategy, a), cand in zip(rows, results):
+        if isinstance(cand, DivergedError):
+            attempts.append(RepairAttempt(strategy, a, None, str(cand)))
+            continue
+        cand = cand.with_verdict(
+            verify_pair(model, verifier, cal, x, cand.x_tilde))
+        attempts.append(RepairAttempt(strategy, a, cand))
+        if cand.verified:
+            return RepairOutcome(cand, True, strategy, tuple(attempts))
 
     pool = [(att.candidate.discrepancy, att.strategy, att.candidate)
             for att in attempts if att.candidate is not None]

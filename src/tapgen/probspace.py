@@ -39,6 +39,7 @@ __all__ = [
     "classify_region",
     "target_distance",
     "target_distance_grad",
+    "target_distance_batch",
     "project_to_target",
 ]
 
@@ -286,33 +287,74 @@ def target_distance_grad(y, t: TargetSet, div: DivergenceSpec) -> np.ndarray:
 
     Neutral coordinates always get 0.  Mass sums are floored at MASS_FLOOR
     before entering f' so saturated model outputs keep finite gradients.
+    This is the one-row view of :func:`target_distance_batch`.
     """
     values = _vec(y)
-    s_w, s_u = t.masses(values)
-    p, q = t.p, t.q
-    region = classify_region(values, t)
-    grad = np.zeros_like(values)
-    if region == "A":
-        return grad
-    fp = div.f_prime
-    w = list(t.desirable)
-    u = list(t.undesirable)
-    s_w = max(s_w, MASS_FLOOR)
-    s_u = max(s_u, MASS_FLOOR)
-    s_n = max(1.0 - s_w - s_u, MASS_FLOOR)
-    if region == "B":
-        grad[w] = fp(s_w / max(p, MASS_FLOOR)) - fp(
-            (1.0 - s_w) / max(1.0 - p, MASS_FLOOR)
-        )
-    elif region == "C":
-        grad[u] = fp(s_u / max(q, MASS_FLOOR)) - fp(
-            (1.0 - s_u) / max(1.0 - q, MASS_FLOOR)
-        )
-    else:
-        neutral_part = fp(s_n / max(1.0 - p - q, MASS_FLOOR))
-        grad[w] = fp(s_w / max(p, MASS_FLOOR)) - neutral_part
-        grad[u] = fp(s_u / max(q, MASS_FLOOR)) - neutral_part
-    return grad
+    t.masses(values)
+    return target_distance_batch(values[None, :], t, div)[1][0]
+
+
+def _elementwise(fn: Callable[[float], float]):
+    """fn on each entry: rows round exactly as the scalar closed form."""
+    ufunc = np.frompyfunc(fn, 1, 1)
+    return lambda t: ufunc(t).astype(float)
+
+
+def target_distance_batch(y: np.ndarray, t: TargetSet, div: DivergenceSpec,
+                          p: np.ndarray | None = None,
+                          q: np.ndarray | None = None
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Distance and gradient for every row of an (n, k) matrix at once.
+
+    Row i is measured against t's classes with thresholds p[i] and q[i]
+    (t.p and t.q by default), which must be those of a valid TargetSet
+    over the same classes; it equals :func:`target_distance` there.
+    """
+    y = np.asarray(y, dtype=float)
+    n = y.shape[0]
+    p = np.full(n, t.p) if p is None else np.asarray(p, dtype=float)
+    q = np.full(n, t.q) if q is None else np.asarray(q, dtype=float)
+    w, u = list(t.desirable), list(t.undesirable)
+    s_w, s_u = y[:, w].sum(axis=1), y[:, u].sum(axis=1)
+    f, fp = _elementwise(div.f), _elementwise(div.f_prime)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound_b = np.where(1.0 - p <= 0.0, np.inf, (1.0 - s_w) * q / (1.0 - p))
+        bound_c = np.where(1.0 - q <= 0.0, np.inf, (1.0 - s_u) * p / (1.0 - q))
+    a = (s_w >= p) & (s_u <= q)
+    b = ~a & (s_w < p) & (s_u <= bound_b)
+    c = ~a & ~b & (s_u > q) & (s_w >= bound_c)
+    d = ~(a | b | c)
+
+    def term(budget, mass):
+        """budget * f(mass / budget), with the budget -> 0 limit."""
+        out = np.where(mass <= 0.0, 0.0, np.inf)
+        pos = budget > 0.0
+        out[pos] = budget[pos] * f(mass[pos] / budget[pos])
+        return out
+
+    def slope(mass, budget):
+        return fp(mass / np.maximum(budget, MASS_FLOOR))
+
+    # the gradient floors the masses so saturated outputs stay finite
+    fs_w, fs_u = np.maximum(s_w, MASS_FLOOR), np.maximum(s_u, MASS_FLOOR)
+    dist, g_w, g_u = np.zeros(n), np.zeros(n), np.zeros(n)
+    if b.any():
+        dist[b] = term(p[b], s_w[b]) + term(1.0 - p[b], 1.0 - s_w[b])
+        g_w[b] = slope(fs_w[b], p[b]) - slope(1.0 - fs_w[b], 1.0 - p[b])
+    if c.any():
+        dist[c] = term(q[c], s_u[c]) + term(1.0 - q[c], 1.0 - s_u[c])
+        g_u[c] = slope(fs_u[c], q[c]) - slope(1.0 - fs_u[c], 1.0 - q[c])
+    if d.any():
+        rest = 1.0 - p[d] - q[d]
+        dist[d] = (term(p[d], s_w[d]) + term(q[d], s_u[d])
+                   + term(rest, 1.0 - s_w[d] - s_u[d]))
+        neutral = slope(np.maximum(1.0 - fs_w[d] - fs_u[d], MASS_FLOOR), rest)
+        g_w[d] = slope(fs_w[d], p[d]) - neutral
+        g_u[d] = slope(fs_u[d], q[d]) - neutral
+    grad = np.zeros_like(y)
+    grad[:, w] = g_w[:, None]
+    grad[:, u] = g_u[:, None]
+    return dist, grad
 
 
 def _scale_group(z: np.ndarray, idx: list[int], target_mass: float, mass: float) -> None:

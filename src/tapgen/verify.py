@@ -293,16 +293,21 @@ def load_calibration(path) -> GammaCalibration:
     if not path.exists():
         raise FileNotFoundError(f"calibration file not found: {path}")
     payload = json.loads(path.read_text())
-    if payload.get("kind") != "discrepancy-calibration":
+    kind = payload.get("kind") if isinstance(payload, dict) else None
+    if kind != "discrepancy-calibration":
         raise ValueError(f"calibration file {path} has unknown kind")
-    return GammaCalibration(
-        gamma=float(payload["gamma"]),
-        rate=float(payload["rate"]),
-        sample_size=int(payload["sample_size"]),
-        seed=int(payload["seed"]),
-        source_split=str(payload["source_split"]),
-        source_hash=str(payload["source_hash"]),
-    )
+    try:
+        return GammaCalibration(
+            gamma=float(payload["gamma"]),
+            rate=float(payload["rate"]),
+            sample_size=int(payload["sample_size"]),
+            seed=int(payload["seed"]),
+            source_split=str(payload["source_split"]),
+            source_hash=str(payload["source_hash"]),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"calibration file {path} is malformed: {exc!r}"
+                         ) from None
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,11 @@ def bench_result_seed0():
 
 
 @pytest.fixture(scope="session")
+def bench_results_two_seeds():
+    return tuple(bench_run(seed) for seed in range(2))
+
+
+@pytest.fixture(scope="session")
 def bench_results_five_seeds():
     return tuple(bench_run(seed) for seed in range(5))
 

@@ -4,6 +4,8 @@ Nothing here reuses the region logic under test: the k=2 oracle is a dense
 grid search over the one free coordinate, the k>=3 oracle hands the
 constrained minimization to scipy's SLSQP, gradients come from central
 differences, and the probability-bound arithmetic is redone in mpmath.
+The per-row descent oracle is the one-vector-at-a-time search that the
+batched kernel replaced, built only from the scalar layer functions.
 """
 from __future__ import annotations
 
@@ -13,7 +15,23 @@ import warnings
 import numpy as np
 from scipy.optimize import minimize
 
-from tapgen.probspace import DivergenceSpec, TargetSet
+from tapgen.actionability import (
+    PenaltyConfig,
+    cond,
+    cost,
+    cost_grad,
+    penalty_actionable,
+    penalty_coherence,
+)
+from tapgen.netcore import forward_cache, input_gradient, predict_proba
+from tapgen.perturb import OptConfig, TapCandidate
+from tapgen.probspace import (
+    DivergenceSpec,
+    TargetSet,
+    kl_divergence,
+    target_distance,
+    target_distance_grad,
+)
 
 _Z_FLOOR = 1e-9
 
@@ -176,3 +194,77 @@ def random_target_set(rng: np.random.Generator, k: int,
 
 def random_simplex_point(rng: np.random.Generator, k: int) -> np.ndarray:
     return rng.dirichlet(np.ones(k))
+
+
+def per_row_candidate(model, schema, cm, target: TargetSet, x: np.ndarray,
+                      oc: OptConfig, div: DivergenceSpec | None = None,
+                      penalty: PenaltyConfig | None = None
+                      ) -> TapCandidate | None:
+    """One normalized-ADAM descent on one vector, scalar layers only.
+
+    Same schedule as the batched search: cost muted for the first half,
+    best full-objective iterate kept, patience stop after warmup, dust
+    snapped back, rounded by cond.  A diverged run returns None.
+    """
+    div = div if div is not None else kl_divergence()
+    penalty = penalty if penalty is not None else PenaltyConfig()
+    x = np.asarray(x, dtype=float)
+    lo, hi = schema.box_for(x)
+    mean, std = model.mean, model.std
+    mutable = schema.mutable_mask
+    u_origin = (x - mean) / std
+    u = u_origin.copy()
+
+    def evaluate(u_now, lam_eff):
+        x_now = u_now * std + mean
+        cache = forward_cache(model, x_now)
+        dist = target_distance(cache.probs, target, div)
+        grad_dist = input_gradient(model, x_now, target_distance_grad(
+            cache.probs, target, div), cache)
+        box_val, box_grad = penalty_actionable(x_now, schema, penalty, (lo, hi))
+        grp_val, grp_grad = penalty_coherence(x_now, schema, penalty)
+        value = dist + oc.lam * cost(x, x_now, cm, schema) + box_val + grp_val
+        step_grad = (grad_dist + lam_eff * cost_grad(x, x_now, cm, schema)
+                     + box_grad + grp_grad) * std
+        step_grad[~mutable] = 0.0
+        return value, step_grad
+
+    warmup = oc.max_iters // 2
+    value, grad = evaluate(u, oc.lam if 1 > warmup else 0.0)
+    if not (math.isfinite(value) and np.all(np.isfinite(grad))):
+        return None
+    best_value, best_u, prev = value, u.copy(), value
+    m = np.zeros_like(u)
+    v = np.zeros_like(u)
+    stall = iterations = 0
+    for t in range(1, oc.max_iters + 1):
+        norm = float(np.linalg.norm(grad))
+        if norm > 0.0:
+            grad = grad / norm
+        m = 0.9 * m + 0.1 * grad
+        v = 0.999 * v + 0.001 * grad * grad
+        m_hat = m / (1.0 - 0.9 ** t)
+        v_hat = v / (1.0 - 0.999 ** t)
+        u = u - oc.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        value, grad = evaluate(u, oc.lam if t + 1 > warmup else 0.0)
+        iterations = t
+        if not (math.isfinite(value) and np.all(np.isfinite(grad))):
+            return None
+        if value < best_value:
+            best_value, best_u = value, u.copy()
+        if t > warmup:
+            stall = stall + 1 if abs(value - prev) < oc.tol else 0
+        prev = value
+        if stall >= oc.patience:
+            break
+
+    moved = best_u.copy()
+    dust = np.abs(moved - u_origin) < oc.snap_tol
+    moved[dust] = u_origin[dust]
+    x_tilde = cond(moved * std + mean, schema, (lo, hi))
+    epsilon = float(cost(x, x_tilde, cm, schema))
+    delta = float(target_distance(predict_proba(model, x_tilde), target, div))
+    objective = delta if epsilon == 0.0 else delta + oc.lam * epsilon
+    return TapCandidate(x=x.copy(), x_tilde=x_tilde, lam=oc.lam,
+                        epsilon=epsilon, delta=delta, objective=objective,
+                        iterations=iterations)

@@ -12,6 +12,7 @@ from tapgen.actionability import (
 from tapgen.baselines import cw_l2, mad_weights, wachter_counterfactual
 from tapgen.netcore import (
     TrainConfig,
+    forward_cache,
     predict_proba,
     predict_proba_batch,
     train_classifier,
@@ -180,6 +181,21 @@ class TestCwL2:
                 assert int(np.argmax(probs)) == 1
                 flips += 1
         assert flips / len(pts) >= 0.95
+
+    def test_one_forward_pass_per_iteration(self, blob, monkeypatch):
+        import tapgen.baselines as tb
+        model, x, _, schema, cm, target = blob
+        pt = wrong_side_points(model, x, 1)[0]
+        calls = []
+
+        def counting(model, x_now):
+            calls.append(1)
+            return forward_cache(model, x_now)
+
+        monkeypatch.setattr(tb, "forward_cache", counting)
+        cw_l2(model, schema, cm, target, pt, attack_class=1,
+              bisection_steps=2, max_iters=25)
+        assert len(calls) == 2 * 25
 
     def test_output_stays_inside_global_bounds(self, blob):
         model, x, _, schema, cm, target = blob

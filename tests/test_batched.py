@@ -1,0 +1,330 @@
+"""Batched layers and the batched descent, checked against the scalar code.
+
+Every batched layer must agree row for row with the scalar function it
+stands in for during descent, for a batch of one as for a permuted batch.
+The batched frontier sweep must agree with the per-row search it replaced
+(``oracles.per_row_candidate``) on the full-size benchmark problem.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import per_row_candidate, random_target_set
+from tapgen.actionability import (
+    CostModel,
+    Feature,
+    FeatureSchema,
+    LinearTerm,
+    PenaltyConfig,
+    TriggerTerm,
+    cond,
+    cost,
+    cost_batch,
+    cost_grad,
+    penalties_batch,
+    penalty_actionable,
+    penalty_coherence,
+)
+from tapgen.bench import benchmark_problem
+from tapgen.netcore import (
+    DenseClassifier,
+    forward_cache,
+    forward_cache_batch,
+    input_gradient,
+    input_gradient_batch,
+)
+from tapgen.perturb import OptConfig, frontier_sweep
+from tapgen.presets import adult_income_preset
+from tapgen.probspace import (
+    TargetSet,
+    chi_square_divergence,
+    classify_region,
+    kl_divergence,
+    target_distance,
+    target_distance_batch,
+    target_distance_grad,
+)
+from tapgen.synthetic import canonical_benchmark_spec, sample_synthetic
+from tapgen.verify import verify_pair
+
+TOL = dict(rtol=1e-12, atol=1e-12)
+DIVS = (kl_divergence(), chi_square_divergence())
+PROPERTY = settings(max_examples=60, deadline=None)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def row_thresholds(rng, t: TargetSet, n: int) -> list[TargetSet]:
+    """Per-row targets over t's classes, tightened as shrink_target does."""
+    rows = []
+    for _ in range(n):
+        step = float(rng.choice([0.0, 0.05, 0.1, 0.15]))
+        try:
+            rows.append(TargetSet(
+                t.num_classes, t.desirable, t.undesirable,
+                min(t.p + step, 1.0) if t.desirable else t.p,
+                max(t.q - step, 0.0) if t.undesirable else t.q))
+        except ValueError:   # p + q > 1 with neutral classes
+            rows.append(t)
+    return rows
+
+
+def distance_case(seed, k, n, alpha=0.5):
+    rng = np.random.default_rng(seed)
+    t = random_target_set(rng, k)
+    return t, row_thresholds(rng, t, n), rng.dirichlet(np.full(k, alpha), n)
+
+
+def check_distance_rows(t, rows, y, div):
+    dist, grad = target_distance_batch(y, t, div, [r.p for r in rows],
+                                       [r.q for r in rows])
+    for i, r in enumerate(rows):
+        np.testing.assert_allclose(dist[i], target_distance(y[i], r, div),
+                                   **TOL)
+        np.testing.assert_allclose(grad[i],
+                                   target_distance_grad(y[i], r, div), **TOL)
+    return dist, grad
+
+
+def adult_problem():
+    """The adult_income preset with linear and trigger terms added."""
+    schema, cm = adult_income_preset()
+    cm = CostModel(
+        quadratic=cm.quadratic,
+        linear=(LinearTerm("hours_per_week", -0.02), LinearTerm("age", 0.5)),
+        transitions=cm.transitions,
+        triggers=(TriggerTerm("employer_self_employed", 2.0),
+                  TriggerTerm("education_doctorate", 3.0)))
+    return schema, cm
+
+
+def adult_rows(seed, n, spread=1.0):
+    """A coherent adult origin and n relaxed moves around it (row 0 stays)."""
+    schema, cm = adult_problem()
+    rng = np.random.default_rng(seed)
+    x = np.zeros(len(schema.features))
+    x[0] = rng.integers(17, 91)
+    x[1] = rng.integers(1, 100)
+    for idx in schema.onehot_groups.values():
+        x[rng.choice(idx)] = 1.0
+    x_tilde = x + spread * rng.standard_normal((n, x.size)) * (
+        rng.random((n, x.size)) < 0.5)
+    x_tilde[0] = x
+    x_tilde[:, :2] *= 1.0 + spread * rng.standard_normal((n, 1))
+    return schema, cm, x, x_tilde
+
+
+def check_cost_rows(schema, cm, x, x_tilde):
+    value, grad = cost_batch(x, x_tilde, cm, schema)
+    for i, row in enumerate(x_tilde):
+        np.testing.assert_allclose(value[i], cost(x, row, cm, schema), **TOL)
+        np.testing.assert_allclose(grad[i], cost_grad(x, row, cm, schema),
+                                   **TOL)
+    return value, grad
+
+
+def check_penalty_rows(schema, x, x_tilde, pc=PenaltyConfig()):
+    box = schema.box_for(x)
+    value, grad = penalties_batch(x_tilde, schema, pc, box)
+    for i, row in enumerate(x_tilde):
+        box_val, box_grad = penalty_actionable(row, schema, pc, box)
+        grp_val, grp_grad = penalty_coherence(row, schema, pc)
+        np.testing.assert_allclose(value[i], box_val + grp_val, **TOL)
+        np.testing.assert_allclose(grad[i], box_grad + grp_grad, **TOL)
+    return value, grad
+
+
+def random_net(seed, dims=(4, 9, 7, 3)):
+    rng = np.random.default_rng(seed)
+    return DenseClassifier(
+        layer_dims=dims,
+        weights=[rng.standard_normal((o, i)) for i, o in zip(dims, dims[1:])],
+        biases=[0.3 * rng.standard_normal(o) for o in dims[1:]],
+        mean=rng.standard_normal(dims[0]),
+        std=rng.uniform(0.5, 2.0, dims[0]), temperature=1.3)
+
+
+def check_net_rows(model, x, upstream):
+    cache = forward_cache_batch(model, x)
+    grad = input_gradient_batch(model, cache, upstream)
+    for i, row in enumerate(x):
+        single = forward_cache(model, row)
+        np.testing.assert_allclose(cache.probs[i], single.probs, **TOL)
+        np.testing.assert_allclose(
+            grad[i], input_gradient(model, row, upstream[i], single), **TOL)
+    return cache.probs, grad
+
+
+class TestLayersMatchScalar:
+    @PROPERTY
+    @given(seed=SEEDS, k=st.integers(2, 5), n=st.integers(1, 12),
+           div=st.sampled_from(DIVS),
+           alpha=st.sampled_from([0.05, 0.5, 5.0]))
+    def test_target_distance(self, seed, k, n, div, alpha):
+        check_distance_rows(*distance_case(seed, k, n, alpha), div)
+
+    @pytest.mark.parametrize("div", DIVS, ids=lambda d: d.name)
+    def test_target_distance_all_four_regions(self, div):
+        t = TargetSet(3, (0,), (1,), 0.5, 0.3)
+        y = np.array([[0.6, 0.2, 0.2], [0.3, 0.1, 0.6],
+                      [0.6, 0.35, 0.05], [0.2, 0.5, 0.3]])
+        assert [classify_region(row, t) for row in y] == list("ABCD")
+        dist, _ = check_distance_rows(t, [t] * 4, y, div)
+        assert dist[0] == 0.0 and np.all(dist[1:] > 0.0)
+
+    def test_target_distance_infinite_rows(self):
+        # p = 1 puts every row off the boundary at infinite distance
+        t = TargetSet(2, (1,), (), 0.5, 1.0)
+        hard = TargetSet(2, (1,), (), 1.0, 1.0)
+        y = np.array([[0.3, 0.7], [0.0, 1.0]])
+        dist, _ = check_distance_rows(t, [hard, hard], y, kl_divergence())
+        assert np.isinf(dist[0]) and dist[1] == 0.0
+
+    @PROPERTY
+    @given(seed=SEEDS, n=st.integers(1, 10),
+           spread=st.sampled_from([0.01, 1.0, 5.0]))
+    def test_cost_adult_all_term_kinds(self, seed, n, spread):
+        check_cost_rows(*adult_rows(seed, n, spread))
+
+    @PROPERTY
+    @given(seed=SEEDS, n=st.integers(1, 10),
+           spread=st.sampled_from([0.01, 1.0, 50.0]))
+    def test_penalties(self, seed, n, spread):
+        schema, _, x, x_tilde = adult_rows(seed, n, spread)
+        check_penalty_rows(schema, x, x_tilde)
+
+    @PROPERTY
+    @given(seed=SEEDS, n=st.integers(1, 10))
+    def test_forward_and_input_gradient(self, seed, n):
+        model = random_net(seed)
+        rng = np.random.default_rng(seed)
+        check_net_rows(model, rng.standard_normal((n, 4)),
+                       rng.standard_normal((n, 3)))
+
+
+class TestBatchShape:
+    def test_batch_of_one_equals_scalar(self):
+        t, rows, y = distance_case(7, 3, 1)
+        dist, grad = target_distance_batch(y, t, kl_divergence(),
+                                           [rows[0].p], [rows[0].q])
+        assert dist[0] == target_distance(y[0], rows[0], kl_divergence())
+        assert np.array_equal(grad[0], target_distance_grad(
+            y[0], rows[0], kl_divergence()))
+        schema, cm, x, x_tilde = adult_rows(3, 1)
+        check_cost_rows(schema, cm, x, x_tilde[1:] + 0.5)
+        check_penalty_rows(schema, x, x_tilde[1:] + 0.5)
+        check_net_rows(random_net(3), np.ones((1, 4)), np.ones((1, 3)))
+
+    @PROPERTY
+    @given(seed=SEEDS, n=st.integers(2, 10))
+    def test_permuting_rows_permutes_results(self, seed, n):
+        perm = np.random.default_rng(seed).permutation(n)
+        t, rows, y = distance_case(seed, 4, n)
+        p, q = np.array([r.p for r in rows]), np.array([r.q for r in rows])
+        schema, cm, x, x_tilde = adult_rows(seed, n)
+        model = random_net(seed)
+        z = np.random.default_rng(seed).standard_normal((n, 4))
+        up = np.random.default_rng(seed + 1).standard_normal((n, 3))
+
+        def layers(order):
+            cache = forward_cache_batch(model, z[order])
+            return (*target_distance_batch(y[order], t, kl_divergence(),
+                                           p[order], q[order]),
+                    *cost_batch(x, x_tilde[order], cm, schema),
+                    *penalties_batch(x_tilde[order], schema, PenaltyConfig(),
+                                     schema.box_for(x)),
+                    cache.probs,
+                    input_gradient_batch(model, cache, up[order]))
+
+        for whole, permuted in zip(layers(np.arange(n)), layers(perm)):
+            np.testing.assert_allclose(whole[perm], permuted, **TOL)
+
+
+@st.composite
+def schemas(draw):
+    features = []
+    for i in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["numeric", "integer", "boolean",
+                                     "onehot"]))
+        mutable = draw(st.booleans())
+        if kind == "onehot":
+            features += [Feature(f"g{i}_{j}", "onehot", 0.0, 1.0,
+                                 mutable=mutable, group=f"g{i}")
+                         for j in range(draw(st.integers(2, 4)))]
+        elif kind == "integer":
+            lo = draw(st.integers(-5, 5))
+            features.append(Feature(f"f{i}", "integer", lo,
+                                    lo + draw(st.integers(0, 6)), mutable))
+        elif kind == "numeric":
+            lo = draw(st.floats(-10.0, 10.0))
+            features.append(Feature(f"f{i}", "numeric", lo,
+                                    lo + draw(st.floats(0.0, 10.0)), mutable))
+        else:
+            features.append(Feature(f"f{i}", "boolean", 0.0, 1.0, mutable))
+    return FeatureSchema(tuple(features))
+
+
+@PROPERTY
+@given(schema=schemas(), seed=SEEDS)
+def test_cond_idempotent_on_random_schemas(schema, seed):
+    rng = np.random.default_rng(seed)
+    spread = schema.upper_bounds - schema.lower_bounds + 6.0
+    draw = lambda: schema.lower_bounds - 3.0 + spread * rng.random(spread.size)
+    origin = cond(draw(), schema)
+    assert schema.is_coherent(origin)
+    for box in (None, schema.box_for(origin)):
+        once = cond(draw(), schema, box)
+        assert np.array_equal(cond(once, schema, box), once)
+
+
+# ---------------------------------------------------------------------------
+# the batched frontier sweep against the per-row search it replaced
+
+INDIVIDUALS = 6
+
+
+def relative_gap(a: float, b: float) -> float:
+    return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
+
+
+def test_batched_sweep_matches_per_row_oracle(bench_results_two_seeds):
+    schema, cm, target = benchmark_problem()
+    eps_gap, delta_gap, abs_gap = [], [], []
+    same_iters = verdicts = agree = 0
+    for result in bench_results_two_seeds:
+        cfg = result.config
+        x, _ = sample_synthetic(canonical_benchmark_spec(), cfg.n_samples,
+                                cfg.seed)
+        oc = OptConfig(lam=1.0, max_iters=cfg.opt_iters, seed=cfg.seed)
+        for ind in result.individual_ids[:INDIVIDUALS]:
+            sweep = frontier_sweep(result.model, schema, cm, target, x[ind],
+                                   cfg.lambdas, oc, include_noop=False)
+            assert not sweep.failures
+            batched = {c.lam: c for c in sweep.candidates}
+            for lam in cfg.lambdas:
+                want = per_row_candidate(result.model, schema, cm, target,
+                                         x[ind], OptConfig(lam=float(lam),
+                                                           max_iters=cfg.opt_iters,
+                                                           seed=cfg.seed))
+                got = batched[float(lam)]
+                eps_gap.append(relative_gap(got.epsilon, want.epsilon))
+                delta_gap.append(relative_gap(got.delta, want.delta))
+                abs_gap.append(max(abs(got.epsilon - want.epsilon),
+                                   abs(got.delta - want.delta)))
+                same_iters += got.iterations == want.iterations
+                verdicts += 1
+                agree += (verify_pair(result.model, result.verifier,
+                                      result.calibration, x[ind],
+                                      got.x_tilde).accepted
+                          == verify_pair(result.model, result.verifier,
+                                         result.calibration, x[ind],
+                                         want.x_tilde).accepted)
+    print(f"{verdicts} pairs: median relative gap eps "
+          f"{np.median(eps_gap):.3g} delta {np.median(delta_gap):.3g}; "
+          f"{sum(g > 1e-6 for g in eps_gap)} eps gaps above 1e-6; largest "
+          f"absolute gap {max(abs_gap):.3g}; equal iteration counts "
+          f"{same_iters}; verdict agreement {agree}/{verdicts}")
+    assert verdicts >= 2 * INDIVIDUALS * 21
+    assert np.median(eps_gap) <= 1e-9 and np.median(delta_gap) <= 1e-9
+    assert max(abs_gap) <= 0.05
+    assert agree >= 0.99 * verdicts

@@ -3,6 +3,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,6 +328,30 @@ class TestExitCodes:
                    "--out", str(tmp_path)])
         assert rc == EXIT_SCHEMA
         assert "features" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("role", ["model", "calibration"])
+    def test_artifact_missing_key_is_3(self, ws, tmp_path, capsys, role):
+        payload = json.loads(Path(ws[role]).read_text())
+        del payload["layer_dims" if role == "model" else "gamma"]
+        bad = tmp_path / f"{role}.json"
+        bad.write_text(json.dumps(payload))
+        paths = {"model": ws["model"], "calibration": ws["calibration"],
+                 role: str(bad)}
+        rc = main(["generate", "--config", ws["config"],
+                   "--model", paths["model"], "--verifier", ws["verifier"],
+                   "--calibration", paths["calibration"],
+                   "--individual", str(ws["idx"]), "--out", str(tmp_path)])
+        assert rc == EXIT_SCHEMA
+        assert "malformed" in capsys.readouterr().err
+
+    def test_model_shape_mismatch_is_3(self, ws, tmp_path):
+        payload = json.loads(Path(ws["model"]).read_text())
+        payload["weights"][0] = payload["weights"][0][:-1]
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(payload))
+        rc = main(["ece", "--config", ws["config"], "--model", str(bad),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_SCHEMA
 
     def test_csv_column_gap_is_3(self, ws, tmp_path):
         (tmp_path / "rows.csv").write_text("x0,x1,x2,label\n0,0,0,class0\n")

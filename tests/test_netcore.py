@@ -1,4 +1,6 @@
 """Dense classifier training, gradients, calibration error, persistence."""
+import json
+
 import numpy as np
 import pytest
 
@@ -299,3 +301,65 @@ class TestPersistence:
         path.write_text("{not json")
         with pytest.raises(ValueError):
             load_model(path)
+
+
+class TestLoadValidation:
+    """A malformed model file raises ValueError, never a bare KeyError or a
+    model whose shapes disagree with its own layer_dims."""
+
+    @pytest.fixture()
+    def payload(self, blob_model, tmp_path):
+        model, _, _ = blob_model
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        return json.loads(path.read_text())
+
+    def load(self, payload, tmp_path):
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(payload))
+        return load_model(path)
+
+    def test_weight_shape_mismatch(self, tmp_path):
+        payload = {"kind": "dense-softmax-classifier", "layer_dims": [4, 2],
+                   "dropout_rate": 0.0, "temperature": 1.0, "seed": 0,
+                   "standardizer": {"mean": [0.0] * 4, "std": [1.0] * 4},
+                   "weights": [[[0.5, -0.5]]], "biases": [[0.0, 0.0]],
+                   "metadata": {}}
+        with pytest.raises(ValueError, match="shapes do not match"):
+            self.load(payload, tmp_path)
+
+    @pytest.mark.parametrize("key", ["layer_dims", "weights", "standardizer",
+                                     "seed"])
+    def test_missing_key(self, payload, tmp_path, key):
+        del payload[key]
+        with pytest.raises(ValueError, match=key):
+            self.load(payload, tmp_path)
+
+    def test_bias_shape_mismatch(self, payload, tmp_path):
+        payload["biases"][0] = payload["biases"][0][:-1]
+        with pytest.raises(ValueError, match="shapes do not match"):
+            self.load(payload, tmp_path)
+
+    def test_standardizer_length(self, payload, tmp_path):
+        payload["standardizer"]["mean"].append(0.0)
+        with pytest.raises(ValueError, match="standardizer length"):
+            self.load(payload, tmp_path)
+
+    def test_non_finite_values(self, payload, tmp_path):
+        payload["weights"][0][0][0] = float("nan")
+        with pytest.raises(ValueError, match="finite"):
+            self.load(payload, tmp_path)
+
+    def test_nonpositive_std(self, payload, tmp_path):
+        payload["standardizer"]["std"][0] = 0.0
+        with pytest.raises(ValueError, match="positive"):
+            self.load(payload, tmp_path)
+
+    def test_ragged_weights(self, payload, tmp_path):
+        payload["weights"][0][0] = payload["weights"][0][0][:-1]
+        with pytest.raises(ValueError, match="malformed"):
+            self.load(payload, tmp_path)
+
+    def test_valid_payload_still_loads(self, payload, tmp_path):
+        assert self.load(payload, tmp_path).layer_dims == tuple(
+            payload["layer_dims"])

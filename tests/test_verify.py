@@ -1,4 +1,5 @@
 """Pair construction, threshold calibration, and bound-term arithmetic."""
+import json
 import math
 
 import numpy as np
@@ -268,6 +269,16 @@ class TestCalibration:
         bad.write_text('{"kind": "something-else"}')
         with pytest.raises(ValueError):
             load_calibration(bad)
+
+    @pytest.mark.parametrize("key", ["gamma", "rate", "source_hash"])
+    def test_load_missing_key(self, calibrated, tmp_path, key):
+        path = tmp_path / "cal.json"
+        save_calibration(calibrated, path)
+        payload = json.loads(path.read_text())
+        del payload[key]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=key):
+            load_calibration(path)
 
     def test_verify_pair_threshold_logic(self, point_model, trained_verifier,
                                          separated):
