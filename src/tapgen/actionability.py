@@ -147,14 +147,11 @@ class FeatureSchema:
         return x
 
     def box_for(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Actionable box for the individual x: immutables pinned to x."""
-        x = self.check_vector(x)
-        lo = self.lower_bounds.copy()
-        hi = self.upper_bounds.copy()
-        frozen = ~self.mutable_mask
-        lo[frozen] = x[frozen]
-        hi[frozen] = x[frozen]
-        return lo, hi
+        """Actionable box for the individual x, or one box per row of an
+        (n, d) matrix of individuals: immutables pinned to x."""
+        x = self.check_vector(x) if np.ndim(x) < 2 else np.asarray(x, float)
+        return (np.where(self.mutable_mask, self.lower_bounds, x),
+                np.where(self.mutable_mask, self.upper_bounds, x))
 
     def is_coherent(self, x: np.ndarray, tol: float = 1e-9) -> bool:
         """Integral/boolean values where required, exactly one hot per group."""
@@ -279,7 +276,9 @@ def cost_grad(x: np.ndarray, x_tilde: np.ndarray, cm: CostModel,
 def cost_batch(x: np.ndarray, x_tilde: np.ndarray, cm: CostModel,
                schema: FeatureSchema) -> tuple[np.ndarray, np.ndarray]:
     """:func:`cost` and its gradient for every row of an (n, d) x_tilde;
-    the terms are gathered once per call into dense per-feature weights."""
+    the terms are gathered once per call into dense per-feature weights.
+    The origin x is one (d,) vector, priced against all rows in one product,
+    or an (n, d) matrix of per-row origins, priced row by row."""
     d = len(schema.features)
     quad, lin, trig = np.zeros(d), np.zeros(d), np.zeros(d)
     for dense, terms, attr in ((quad, cm.quadratic, "weight"),
@@ -295,8 +294,12 @@ def cost_batch(x: np.ndarray, x_tilde: np.ndarray, cm: CostModel,
     grad = 2.0 * quad * step + lin + trig * (step > 0.0)
     for term in cm.transitions:
         idx = _resolve_group(schema, term)
-        pull = x[idx] @ term.matrix
-        value = value + x_tilde[:, idx] @ pull
+        if x.ndim == 1:
+            pull = x[idx] @ term.matrix
+            value = value + x_tilde[:, idx] @ pull
+        else:
+            pull = (x[:, None, idx] @ term.matrix)[:, 0]
+            value = value + (x_tilde[:, None, idx] @ pull[:, :, None])[:, 0, 0]
         grad[:, idx] += pull
     return value, grad
 
@@ -304,7 +307,8 @@ def cost_batch(x: np.ndarray, x_tilde: np.ndarray, cm: CostModel,
 def penalties_batch(x_tilde: np.ndarray, schema: FeatureSchema,
                     pc: PenaltyConfig, box: tuple[np.ndarray, np.ndarray]
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Box plus coherence penalty (value, gradient) for every row at once."""
+    """Box plus coherence penalty (value, gradient) for every row at once;
+    the box bounds are (d,) vectors or (n, d) matrices, one box per row."""
     lo, hi = box
     value = pc.actionable_weight * np.sum(
         np.maximum(0.0, x_tilde - hi) + np.maximum(0.0, lo - x_tilde), axis=1)

@@ -18,13 +18,12 @@ import numpy as np
 from .actionability import CostModel, FeatureSchema, cond
 from .netcore import (
     DenseClassifier,
-    forward_cache,
     forward_cache_batch,
     input_gradient_batch,
-    logit_input_gradient,
+    logit_input_gradient_batch,
     predict_proba,
 )
-from .perturb import (TapCandidate, _adam_step, _check_problem, _descend,
+from .perturb import (TapCandidate, _adam_step, _descend, _individuals, _one,
                       _package)
 from .probspace import DivergenceSpec, TargetSet, kl_divergence
 
@@ -32,7 +31,9 @@ __all__ = [
     "BaselineResult",
     "mad_weights",
     "wachter_counterfactual",
+    "wachter_counterfactual_batch",
     "cw_l2",
+    "cw_l2_batch",
 ]
 
 
@@ -71,9 +72,24 @@ def wachter_counterfactual(model: DenseClassifier, schema: FeatureSchema,
     closest-to-flipping trial comes back with flipped=False.  A point
     already classified as desired returns unchanged.
     """
+    return _one(wachter_counterfactual_batch(
+        model, schema, cm, target, schema.check_vector(x)[None, :], train_x,
+        desired_class, lambdas, lr, max_iters, div))
+
+
+def wachter_counterfactual_batch(model: DenseClassifier,
+                                 schema: FeatureSchema, cm: CostModel,
+                                 target: TargetSet, xs: np.ndarray,
+                                 train_x: np.ndarray,
+                                 desired_class: int | None = None,
+                                 lambdas=None, lr: float = 0.05,
+                                 max_iters: int = 300,
+                                 div: DivergenceSpec | None = None) -> list:
+    """:func:`wachter_counterfactual` for every row of an (m, d) matrix in
+    one descent: one BaselineResult per individual, in order."""
     div = div if div is not None else kl_divergence()
-    _check_problem(model, schema, target)
-    x = schema.check_vector(x)
+    xs = _individuals(model, schema, target, xs)
+    out: list = [None] * len(xs)
     if desired_class is None:
         if len(target.desirable) != 1:
             raise ValueError(
@@ -89,14 +105,20 @@ def wachter_counterfactual(model: DenseClassifier, schema: FeatureSchema,
     if not lambdas or lambdas[0] <= 0.0:
         raise ValueError("lambdas must be positive")
 
-    if int(np.argmax(predict_proba(model, x))) == desired_class:
-        noop = _package(model, schema, cm, target, div, x, x, lambdas[0], 0)
-        return BaselineResult(candidate=noop, flipped=True, trials=(noop,))
+    labels = np.array([np.argmax(predict_proba(model, x)) for x in xs], int)
+    for i in np.flatnonzero(labels == desired_class):
+        noop = _package(model, schema, cm, target, div, xs[i], xs[i],
+                        lambdas[0], 0)
+        out[i] = BaselineResult(candidate=noop, flipped=True, trials=(noop,))
+    live = np.flatnonzero(labels != desired_class)
+    if live.size == 0:
+        return out
 
     mean, std = model.mean, model.std
+    x = xs[np.repeat(live, len(lambdas))]
     lo, hi = schema.box_for(x)
     scale = mad_weights(train_x)
-    lams = np.array(lambdas)
+    lams = np.tile(lambdas, len(live))
 
     def evaluate(rows, u, cost_on):
         x_now = u * std + mean
@@ -105,37 +127,34 @@ def wachter_counterfactual(model: DenseClassifier, schema: FeatureSchema,
         upstream = np.zeros_like(cache.probs)
         upstream[:, desired_class] = 2.0 * (p_w - 1.0)
         lam = lams[rows]
-        loss = (p_w - 1.0) ** 2 + lam * np.sum(np.abs(x_now - x) / scale,
-                                                axis=1)
+        loss = (p_w - 1.0) ** 2 + lam * np.sum(np.abs(x_now - x[rows])
+                                                / scale, axis=1)
         lam_eff = lam if cost_on else np.zeros_like(lam)
         grad = (input_gradient_batch(model, cache, upstream)
-                + lam_eff[:, None] * np.sign(x_now - x) / scale)
+                + lam_eff[:, None] * np.sign(x_now - x[rows]) / scale)
         return loss, grad * std
 
     # the loss is tracked at each start-of-step point, so the last of the
     # max_iters steps would never be scored and is not taken
-    u_best = _descend(evaluate, np.tile((x - mean) / std, (lams.size, 1)),
-                      max(max_iters - 1, 0), lr, max_iters // 2,
+    u_best = _descend(evaluate, (x - mean) / std, max(max_iters - 1, 0), lr,
+                      max_iters // 2,
                       bounds=((lo - mean) / std, (hi - mean) / std))[0]
 
-    trials: list[TapCandidate] = []
-    flips: list[TapCandidate] = []
-    for lam, u in zip(lambdas, u_best):
-        x_tilde = cond(u * std + mean, schema, (lo, hi))
-        cand = _package(model, schema, cm, target, div, x, x_tilde, lam,
-                        max_iters)
-        trials.append(cand)
-        if int(np.argmax(predict_proba(model, x_tilde))) == desired_class:
-            flips.append(cand)
-
-    if flips:
-        chosen = max(flips, key=lambda c: c.lam)
-        return BaselineResult(candidate=chosen, flipped=True,
-                              trials=tuple(trials))
-    closest = max(trials, key=lambda c: float(
-        predict_proba(model, c.x_tilde)[desired_class]))
-    return BaselineResult(candidate=closest, flipped=False,
-                          trials=tuple(trials))
+    for k, i in enumerate(live):
+        trials, probs = [], []
+        for r, lam in zip(range(k * len(lambdas), len(x)), lambdas):
+            x_tilde = cond(u_best[r] * std + mean, schema, (lo[r], hi[r]))
+            trials.append(_package(model, schema, cm, target, div, xs[i],
+                                   x_tilde, lam, max_iters))
+            probs.append(predict_proba(model, x_tilde))
+        flips = [c for c, p in zip(trials, probs)
+                 if int(np.argmax(p)) == desired_class]
+        # the cheapest flip, else the trial closest to flipping
+        chosen = (max(flips, key=lambda c: c.lam) if flips else trials[max(
+            range(len(trials)), key=lambda r: probs[r][desired_class])])
+        out[i] = BaselineResult(candidate=chosen, flipped=bool(flips),
+                                trials=tuple(trials))
+    return out
 
 
 def cw_l2(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
@@ -153,70 +172,87 @@ def cw_l2(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
     individual box: the output is generally incoherent and may move
     immutable features, which is the point of this baseline.
     """
+    return _one(cw_l2_batch(model, schema, cm, target,
+                            schema.check_vector(x)[None, :], attack_class,
+                            c_range, bisection_steps, lr, max_iters, kappa,
+                            div))
+
+
+def cw_l2_batch(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
+                target: TargetSet, xs: np.ndarray, attack_class: int,
+                c_range: tuple[float, float] = (1e-3, 1e3),
+                bisection_steps: int = 9, lr: float = 0.05,
+                max_iters: int = 200, kappa: float = 0.0,
+                div: DivergenceSpec | None = None) -> list:
+    """:func:`cw_l2` for every row of an (m, d) matrix: each bisection step
+    attacks all individuals as rows of one descent, each row with its own
+    c bracket and best point.  One BaselineResult per individual, in order,
+    or the ValueError for a point already in the attack class."""
     div = div if div is not None else kl_divergence()
-    _check_problem(model, schema, target)
-    x = schema.check_vector(x)
+    xs = _individuals(model, schema, target, xs)
     if not 0 <= attack_class < model.num_classes:
         raise ValueError("attack_class out of range")
-    if int(np.argmax(predict_proba(model, x))) == attack_class:
-        raise ValueError("point is already classified as the attack class")
     if bisection_steps < 1:
         raise ValueError("need at least one bisection step")
-    c_lo, c_hi = float(c_range[0]), float(c_range[1])
-    if not (0.0 < c_lo < c_hi):
+    if not (0.0 < float(c_range[0]) < float(c_range[1])):
         raise ValueError("c_range must satisfy 0 < lo < hi")
+    labels = np.array([np.argmax(predict_proba(model, x)) for x in xs], int)
+    out = [ValueError("point is already classified as the attack class")
+           if label == attack_class else None for label in labels]
+    live = np.flatnonzero(labels != attack_class)
+    if live.size == 0:
+        return out
+    x = xs[live]
+    c_lo, c_hi = (np.full(len(live), float(c)) for c in c_range)
+    best_l2, best = np.full(len(live), math.inf), np.full(len(live), -1)
+    trials = []
+    for step in range(bisection_steps):
+        c = np.sqrt(c_lo * c_hi)
+        l2, x_adv = _cw_attack(model, schema, x, attack_class, c, lr,
+                               max_iters, kappa)
+        trials.append([_package(model, schema, cm, target, div, x[r],
+                                x_adv[r], float(c[r]), max_iters)
+                       for r in range(len(live))])
+        better = l2 < best_l2
+        best_l2[better], best[better] = l2[better], step
+        flipped = np.isfinite(l2)
+        c_hi, c_lo = np.where(flipped, c, c_hi), np.where(flipped, c_lo, c)
+    for r, i in enumerate(live):
+        # every step failed without a flip, so the last one is the fallback
+        steps = tuple(trial[r] for trial in trials)
+        out[i] = BaselineResult(candidate=steps[best[r]], flipped=best[r] >= 0,
+                                trials=steps)
+    return out
 
+
+def _cw_attack(model: DenseClassifier, schema: FeatureSchema, x: np.ndarray,
+               attack_class: int, c: np.ndarray, lr: float, max_iters: int,
+               kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """One bisection step for every row: the smallest l2 that flipped the
+    row (inf if none did) and that point, else the last iterate."""
     lo, hi = schema.lower_bounds, schema.upper_bounds
-    half = (hi - lo) / 2.0
-    center = (lo + hi) / 2.0
-    z0 = np.clip((x - center) / half, -1.0 + 1e-8, 1.0 - 1e-8)
-    w0 = np.arctanh(z0)
-    others = [i for i in range(model.num_classes) if i != attack_class]
-
-    def attack(c: float) -> tuple[bool, float, np.ndarray]:
-        w = w0[None, :]
-        m = v = np.zeros_like(w)
-        best_l2, best_x = math.inf, None
-        for t in range(1, max_iters + 1):
-            th = np.tanh(w[0])
-            x_now = center + half * th
-            cache = forward_cache(model, x_now)
-            j = others[int(np.argmax(cache.logits[others]))]
-            margin = float(cache.logits[j] - cache.logits[attack_class])
-            if margin < 0.0:   # strictly attacking: argmax is attack_class
-                l2 = float(np.sum((x_now - x) ** 2))
-                if l2 < best_l2:
-                    best_l2, best_x = l2, x_now.copy()
-            grad_x = 2.0 * (x_now - x)
-            if margin > -kappa:
-                upstream = np.zeros(model.num_classes)
-                upstream[j] = 1.0
-                upstream[attack_class] = -1.0
-                grad_x = grad_x + c * logit_input_gradient(model, x_now,
-                                                           upstream, cache)
-            grad_w = grad_x * half * (1.0 - th * th)
-            w, m, v = _adam_step(w, grad_w[None, :], m, v, t, lr)
-        if best_x is None:
-            return False, math.inf, center + half * np.tanh(w[0])
-        return True, best_l2, best_x
-
-    trials: list[TapCandidate] = []
-    best: tuple[float, TapCandidate] | None = None
-    fallback: TapCandidate | None = None
-    for _ in range(bisection_steps):
-        c = math.sqrt(c_lo * c_hi)
-        ok, l2, x_adv = attack(c)
-        cand = _package(model, schema, cm, target, div, x, x_adv, c, max_iters)
-        trials.append(cand)
-        if ok:
-            if best is None or l2 < best[0]:
-                best = (l2, cand)
-            c_hi = c
-        else:
-            fallback = cand
-            c_lo = c
-    if best is not None:
-        return BaselineResult(candidate=best[1], flipped=True,
-                              trials=tuple(trials))
-    return BaselineResult(candidate=fallback if fallback is not None
-                          else trials[-1], flipped=False, trials=tuple(trials))
+    half, center = (hi - lo) / 2.0, (lo + hi) / 2.0
+    w = np.arctanh(np.clip((x - center) / half, -1.0 + 1e-8, 1.0 - 1e-8))
+    m = v = np.zeros_like(w)
+    n = len(x)
+    best_l2, best_x = np.full(n, math.inf), np.zeros_like(x)
+    for t in range(1, max_iters + 1):
+        th = np.tanh(w)
+        x_now = center + half * th
+        cache = forward_cache_batch(model, x_now)
+        # the strongest rival class: the first largest logit but the target's
+        j = np.argmax(np.where(np.arange(model.num_classes) == attack_class,
+                               -np.inf, cache.logits), axis=1)
+        margin = cache.logits[np.arange(n), j] - cache.logits[:, attack_class]
+        l2 = np.sum((x_now - x) ** 2, axis=1)
+        better = (margin < 0.0) & (l2 < best_l2)   # strictly attacking
+        best_l2[better], best_x[better] = l2[better], x_now[better]
+        upstream = np.zeros_like(cache.logits)
+        upstream[np.arange(n), j] = 1.0
+        upstream[:, attack_class] = -1.0
+        push = c[:, None] * logit_input_gradient_batch(model, cache, upstream)
+        grad_x = 2.0 * (x_now - x)
+        grad_x = np.where((margin > -kappa)[:, None], grad_x + push, grad_x)
+        w, m, v = _adam_step(w, grad_x * half * (1.0 - th * th), m, v, t, lr)
+    return best_l2, np.where(np.isfinite(best_l2)[:, None], best_x,
+                             center + half * np.tanh(w))

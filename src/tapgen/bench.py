@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .actionability import CostModel, Feature, FeatureSchema, QuadraticTerm
-from .baselines import cw_l2, wachter_counterfactual
+from .baselines import cw_l2_batch, wachter_counterfactual_batch
 from .netcore import (
     TrainConfig,
     fit_temperature,
@@ -28,10 +28,10 @@ from .netcore import (
 )
 from .perturb import (
     CandidateRecord,
-    DivergedError,
     OptConfig,
-    frontier_sweep,
-    repair_on_rejection,
+    TapCandidate,
+    frontier_sweep_batch,
+    repair_on_rejection_batch,
     write_frontier_csv,
 )
 from .plots import grouped_bars_svg, scatter_svg
@@ -39,20 +39,12 @@ from .probspace import TargetSet
 from .synthetic import (
     SyntheticSpec,
     canonical_benchmark_spec,
-    gap_experiment_spec,
     sample_synthetic,
     true_posterior,
-    true_posterior_batch,
 )
 from .verify import build_pair_dataset, calibrate_gamma, train_verifier, verify_pair
 
 __all__ = [
-    "SyntheticSpec",
-    "canonical_benchmark_spec",
-    "gap_experiment_spec",
-    "sample_synthetic",
-    "true_posterior",
-    "true_posterior_batch",
     "BenchmarkConfig",
     "benchmark_problem",
     "SuccessRow",
@@ -242,61 +234,66 @@ def run_benchmark(cfg: BenchmarkConfig, out_dir=None) -> BenchmarkResult:
     individuals = outside[:cfg.max_individuals]
 
     oc = OptConfig(lam=1.0, max_iters=cfg.opt_iters, seed=cfg.seed)
-    records: list[CandidateRecord] = []
-    failures: list[tuple[int, str, str]] = []
+    origins = x[individuals]
+    everyone = range(len(individuals))
+    # each phase runs all individuals in one batched call; every record and
+    # failure message lands in its individual's log, so the output keeps
+    # the order individual, then tap, wachter, cw
+    log = {m: [[] for _ in individuals] for m in METHODS}
 
-    def checked(ind_id: int, method: str, cand) -> CandidateRecord:
-        verdict = verify_pair(model, verifier, cal, cand.x,
-                              np.asarray(cand.x_tilde))
-        return CandidateRecord(ind_id, method, cand.with_verdict(verdict))
+    def checked(i: int, method: str, cand) -> TapCandidate:
+        cand = cand.with_verdict(verify_pair(model, verifier, cal, cand.x,
+                                             np.asarray(cand.x_tilde)))
+        log[method][i].append(CandidateRecord(individuals[i], method, cand))
+        return cand
 
-    for ind_id in individuals:
-        origin = x[ind_id]
-        if "tap" in cfg.methods:
-            try:
-                sweep = frontier_sweep(model, schema, cm, target, origin,
-                                       cfg.lambdas, oc)
-                for lam, message in sweep.failures:
-                    failures.append((ind_id, "tap", f"lam={lam:g}: {message}"))
-                tap_records = [checked(ind_id, "tap", cand)
-                               for cand in sweep.candidates]
-                records.extend(tap_records)
-                reachers = [r.candidate for r in tap_records
-                            if r.candidate.delta <= 1e-9
-                            and not r.candidate.is_noop]
-                if (cfg.repair and reachers
-                        and not any(c.verified for c in reachers)):
-                    # the sweep reached the target but nothing survived
-                    # verification: rework the closest miss
-                    best = min(reachers,
-                               key=lambda c: (c.discrepancy
-                                              if c.discrepancy is not None
-                                              else math.inf))
-                    outcome = repair_on_rejection(
-                        model, verifier, cal, schema, cm, target, best,
-                        replace(oc, lam=best.lam), attempts_per_strategy=3)
-                    records.append(CandidateRecord(ind_id, "tap",
-                                                   outcome.candidate))
-            except Exception as err:   # aggregation must survive one bad run
-                failures.append((ind_id, "tap", str(err)))
-        if "wachter" in cfg.methods:
-            try:
-                result = wachter_counterfactual(model, schema, cm, target,
-                                                origin, x[train_idx])
-                for cand in result.trials:
-                    records.append(checked(ind_id, "wachter", cand))
-            except Exception as err:
-                failures.append((ind_id, "wachter", str(err)))
-        if "cw" in cfg.methods:
-            try:
-                result = cw_l2(model, schema, cm, target, origin,
-                               attack_class=target.desirable[0])
-                if result.flipped:
-                    records.append(checked(ind_id, "cw", result.candidate))
-                else:
-                    failures.append((ind_id, "cw", "no successful attack"))
-            except Exception as err:
-                failures.append((ind_id, "cw", str(err)))
+    def succeeded(method: str, owners, results):
+        """(i, result) per success; an exception is logged as a failure."""
+        for i, result in zip(owners, results):
+            if isinstance(result, Exception):
+                log[method][i].append(str(result))
+            else:
+                yield i, result
+
+    if "tap" in cfg.methods:
+        rework: dict[int, TapCandidate] = {}
+        for i, sweep in succeeded("tap", everyone, frontier_sweep_batch(
+                model, schema, cm, target, origins, cfg.lambdas, oc)):
+            log["tap"][i].extend(f"lam={lam:g}: {message}"
+                                 for lam, message in sweep.failures)
+            cands = [checked(i, "tap", cand) for cand in sweep.candidates]
+            reachers = [c for c in cands if c.delta <= 1e-9 and not c.is_noop]
+            if (cfg.repair and reachers
+                    and not any(c.verified for c in reachers)):
+                # the sweep reached the target but nothing survived
+                # verification: rework the closest miss
+                rework[i] = min(reachers, key=lambda c: c.discrepancy)
+        for i, outcome in succeeded("tap", rework, repair_on_rejection_batch(
+                model, verifier, cal, schema, cm, target,
+                list(rework.values()),
+                [replace(oc, lam=c.lam) for c in rework.values()],
+                attempts_per_strategy=3)):
+            log["tap"][i].append(CandidateRecord(individuals[i], "tap",
+                                                 outcome.candidate))
+    if "wachter" in cfg.methods:
+        for i, result in succeeded("wachter", everyone,
+                                   wachter_counterfactual_batch(
+                                       model, schema, cm, target, origins,
+                                       x[train_idx])):
+            for cand in result.trials:
+                checked(i, "wachter", cand)
+    if "cw" in cfg.methods:
+        for i, result in succeeded("cw", everyone, cw_l2_batch(
+                model, schema, cm, target, origins,
+                attack_class=target.desirable[0])):
+            if result.flipped:
+                checked(i, "cw", result.candidate)
+            else:
+                log["cw"][i].append("no successful attack")
+    entries = [(ind_id, m, entry) for i, ind_id in enumerate(individuals)
+               for m in METHODS for entry in log[m][i]]
+    records = [entry for _, _, entry in entries if not isinstance(entry, str)]
+    failures = [entry for entry in entries if isinstance(entry[2], str)]
 
     table = aggregate_success(records, cfg.methods, cfg.delta_thresholds,
                               cfg.epsilon_budgets, len(individuals))

@@ -56,6 +56,7 @@ from .verify import (
     load_calibration,
     pac_gap_terms,
     save_calibration,
+    source_digest,
     train_verifier,
     verify_pair,
 )
@@ -176,14 +177,24 @@ def _load_calibration_arg(args):
         raise SchemaMismatchError(str(exc)) from None
 
 
-def _verification_pair(args, cfg: ExperimentConfig):
-    """Both --verifier and --calibration, or neither."""
+def _verification_pair(args, cfg: ExperimentConfig, model: DenseClassifier,
+                       x: np.ndarray, y: np.ndarray):
+    """Both --verifier and --calibration, or neither; the calibration must
+    come from the rows of this dataset that it names."""
     given = (args.verifier is not None, args.calibration is not None)
     if given == (False, False):
         return None, None
     if given != (True, True):
         raise ConfigError("give both --verifier and --calibration or neither")
-    return _load_verifier_arg(args, cfg), _load_calibration_arg(args)
+    verifier, cal = _load_verifier_arg(args, cfg), _load_calibration_arg(args)
+    rows, _ = _split_rows(model, x.shape[0], cal.source_split)
+    digest = source_digest(x[rows], y[rows])
+    if digest != cal.source_hash:
+        raise SchemaMismatchError(
+            f"calibration {args.calibration} was drawn from data with digest "
+            f"{cal.source_hash}, but its {cal.source_split!r} rows here "
+            f"digest to {digest}")
+    return verifier, cal
 
 
 def _individual_row(args, x: np.ndarray) -> int:
@@ -453,7 +464,7 @@ def _cmd_generate(args) -> int:
     out = _out_dir(args, cfg)
     x, y = load_dataset(cfg)
     model = _load_model_arg(args, cfg)
-    verifier, cal = _verification_pair(args, cfg)
+    verifier, cal = _verification_pair(args, cfg, model, x, y)
     idx = _individual_row(args, x)
     div = cfg.divergence()
     if args.epsilon_max is not None and args.delta_max is not None:
@@ -496,7 +507,7 @@ def _cmd_sweep(args) -> int:
     out = _out_dir(args, cfg)
     x, y = load_dataset(cfg)
     model = _load_model_arg(args, cfg)
-    verifier, cal = _verification_pair(args, cfg)
+    verifier, cal = _verification_pair(args, cfg, model, x, y)
     idx = _individual_row(args, x)
     lambdas = cfg.lambdas if args.lam is None else (args.lam,)
     sweep = frontier_sweep(model, cfg.schema, cfg.cost, cfg.target, x[idx],
@@ -544,7 +555,7 @@ def _cmd_attack_cw(args) -> int:
     out = _out_dir(args, cfg)
     x, y = load_dataset(cfg)
     model = _load_model_arg(args, cfg)
-    verifier, cal = _verification_pair(args, cfg)
+    verifier, cal = _verification_pair(args, cfg, model, x, y)
     idx = _individual_row(args, x)
     result = cw_l2(model, cfg.schema, cfg.cost, cfg.target, x[idx],
                    attack_class=cfg.target.desirable[0],
@@ -569,7 +580,7 @@ def _cmd_baseline_wachter(args) -> int:
     out = _out_dir(args, cfg)
     x, y = load_dataset(cfg)
     model = _load_model_arg(args, cfg)
-    verifier, cal = _verification_pair(args, cfg)
+    verifier, cal = _verification_pair(args, cfg, model, x, y)
     idx = _individual_row(args, x)
     rows, _ = _split_rows(model, x.shape[0], "train")
     result = wachter_counterfactual(model, cfg.schema, cfg.cost, cfg.target,

@@ -35,6 +35,7 @@ __all__ = [
     "input_gradient",
     "input_gradient_batch",
     "logit_input_gradient",
+    "logit_input_gradient_batch",
     "ece",
     "ece_from_probs",
     "save_model",
@@ -203,8 +204,15 @@ def input_gradient_batch(model: DenseClassifier, cache: ForwardCache,
     rounding exactly as :func:`input_gradient` does on each row."""
     s = cache.probs
     agree = (s[:, None, :] @ upstream[:, :, None])[:, 0]
-    g = (model.weights[-1].T @ (s * (upstream - agree) / model.temperature
-                                )[:, :, None])
+    return logit_input_gradient_batch(
+        model, cache, s * (upstream - agree) / model.temperature)
+
+
+def logit_input_gradient_batch(model: DenseClassifier, cache: ForwardCache,
+                               upstream: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`logit_input_gradient` for a cache from
+    :func:`forward_cache_batch`, rounding exactly as it does on each row."""
+    g = model.weights[-1].T @ upstream[:, :, None]
     for w, pre in zip(reversed(model.weights[:-1]), reversed(cache.pre)):
         g = w.T @ (g * (pre > 0.0)[:, :, None])
     return g[:, :, 0] / model.std

@@ -15,8 +15,10 @@ that discrete point.
 
 Every search here (a frontier over lam, a budget walk, the repair attempts)
 runs as one batched descent over an (n, d) matrix, one row per run; each
-row keeps its own lam, thresholds, start, moments, best iterate, patience
-counter and divergence flag, so rows never influence each other.
+row keeps its own origin, box, lam, thresholds, start, moments, best
+iterate, patience counter and divergence flag, so rows never influence
+each other.  A ``_batch`` twin runs many individuals in that one descent
+and returns, in order, each one's result or the exception it raised.
 
 Budgets are met by walking lam geometrically: down for a delta ceiling
 (spend more until close enough), up for an epsilon ceiling (spend less until
@@ -66,9 +68,11 @@ __all__ = [
     "meet_budget",
     "SweepResult",
     "frontier_sweep",
+    "frontier_sweep_batch",
     "RepairAttempt",
     "RepairOutcome",
     "repair_on_rejection",
+    "repair_on_rejection_batch",
     "CandidateRecord",
     "write_frontier_csv",
     "FRONTIER_COLUMNS",
@@ -160,12 +164,7 @@ def trivial_candidate(model: DenseClassifier, schema: FeatureSchema,
     div = div if div is not None else kl_divergence()
     _check_problem(model, schema, target)
     x = schema.check_vector(x)
-    delta = target_distance(forward_cache(model, x).probs, target, div)
-    return TapCandidate(
-        x=_frozen(x), x_tilde=_frozen(x), lam=math.inf,
-        epsilon=float(cost(x, x, cm, schema)), delta=float(delta),
-        objective=float(delta), iterations=0,
-    )
+    return _package(model, schema, cm, target, div, x, x, math.inf, 0)
 
 
 def _adam_step(u: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
@@ -191,9 +190,10 @@ def _descend(evaluate, u: np.ndarray, steps: int, lr: float, warmup: int,
     step gradient of those rows; ``cost_on`` is False for the first
     ``warmup`` evaluations.  A row stops after warmup once its objective
     moved less than ``tol`` for ``patience`` steps running, or at once when
-    it turns non-finite.  ``bounds`` clips every step.  Returns the best
-    rows, steps taken, the step each row diverged at (-1: never, 0: at the
-    start) and the (steps + 1, n) objective history.
+    it turns non-finite.  ``bounds`` (two (n, d) arrays) clips every step
+    of each row.  Returns the best rows, steps taken, the step each row
+    diverged at (-1: never, 0: at the start) and the (steps + 1, n)
+    objective history.
     """
     n = u.shape[0]
     u = u.copy()
@@ -212,7 +212,7 @@ def _descend(evaluate, u: np.ndarray, steps: int, lr: float, warmup: int,
         u_rows, m[rows], v[rows] = _adam_step(u[rows], grad[rows], m[rows],
                                               v[rows], t, lr)
         if bounds is not None:
-            u_rows = np.clip(u_rows, *bounds)
+            u_rows = np.clip(u_rows, bounds[0][rows], bounds[1][rows])
         u[rows] = u_rows
         value, grad[rows] = evaluate(rows, u_rows, t + 1 > warmup)
         history[t, rows] = value
@@ -242,43 +242,79 @@ def _package(model, schema, cm, target, div, x, x_tilde, lam, iterations
                         iterations=int(iterations))
 
 
+def _origin_error(schema: FeatureSchema, x: np.ndarray) -> ValueError | None:
+    """Why a search cannot start from x: it must be coherent and in its box."""
+    if not schema.is_coherent(x):
+        return ValueError("origin point is not coherent under the schema")
+    lo, hi = schema.box_for(x)
+    if np.any(x < lo - 1e-9) or np.any(x > hi + 1e-9):
+        return ValueError("origin point lies outside the feature bounds")
+    return None
+
+
+def _individuals(model: DenseClassifier, schema: FeatureSchema,
+                 target: TargetSet, xs) -> np.ndarray:
+    """Check the shared problem and the (m, d) matrix of individuals xs."""
+    _check_problem(model, schema, target)
+    xs = np.asarray(xs, dtype=float)
+    d = len(schema.features)
+    if xs.ndim != 2 or xs.shape[1] != d:
+        raise ValueError(f"expected an (m, {d}) matrix of individuals, "
+                         f"got shape {xs.shape}")
+    return xs
+
+
+def _one(results: list):
+    """The result of a one-individual batch call; its exception is raised."""
+    if isinstance(results[0], Exception):
+        raise results[0]
+    return results[0]
+
+
 def _search(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
-            target: TargetSet, x: np.ndarray, lams, oc: OptConfig,
+            target: TargetSet, xs: np.ndarray, lams, oc: OptConfig,
             div: DivergenceSpec | None = None,
             penalty: PenaltyConfig | None = None, starts=None, targets=None
             ) -> list:
     """One descent per lam, all rows at once, in the order given.
 
-    Row i descends from starts[i] (default x) toward targets[i] (default
-    target; same classes, own thresholds) and is priced against target.
+    xs is an (m, d) matrix of origins, and the rows split into m
+    equal runs, one per origin (and so per box).  Row i descends from
+    starts[i] (default its origin) toward targets[i] (default target; same
+    classes, own thresholds) and is priced against target from its origin.
     Each row yields a TapCandidate, or the DivergedError it ran into.
     """
     if len(lams) == 0:
         return []
     div = div if div is not None else kl_divergence()
     penalty = penalty if penalty is not None else PenaltyConfig()
-    _check_problem(model, schema, target)
-    x = schema.check_vector(x)
-    if not schema.is_coherent(x):
-        raise ValueError("origin point is not coherent under the schema")
-    lo, hi = schema.box_for(x)
-    if np.any(x < lo - 1e-9) or np.any(x > hi + 1e-9):
-        raise ValueError("origin point lies outside the feature bounds")
     lams = np.asarray(lams, dtype=float)
     targets = [target] * lams.size if targets is None else targets
     p, q = np.array([(t.p, t.q) for t in targets]).T
-    starts = np.tile(x, (lams.size, 1)) if starts is None else starts
+    for origin in xs:
+        error = _origin_error(schema, origin)
+        if error is not None:
+            raise error
+    # one origin stays a (d,) vector, which cost_batch prices in one product
+    x = xs[0] if len(xs) == 1 else np.repeat(xs, lams.size // len(xs), axis=0)
+    lo, hi = schema.box_for(x)
     mean, std = model.mean, model.std
     frozen = ~schema.mutable_mask
+    x_rows, lo_rows, hi_rows, u_origin = (
+        np.broadcast_to(a, (lams.size, len(frozen)))
+        for a in (x, lo, hi, (x - mean) / std))
+    starts = x_rows if starts is None else starts
 
     def evaluate(rows, u_now, cost_on):
         """Full-lam objective for tracking, muted-lam gradient for stepping."""
+        origin, box = ((x, (lo, hi)) if x.ndim == 1
+                       else (x[rows], (lo[rows], hi[rows])))
         x_now = u_now * std + mean
         cache = forward_cache_batch(model, x_now)
         dist, up = target_distance_batch(cache.probs, target, div,
                                          p[rows], q[rows])
-        price, price_grad = cost_batch(x, x_now, cm, schema)
-        pen, pen_grad = penalties_batch(x_now, schema, penalty, (lo, hi))
+        price, price_grad = cost_batch(origin, x_now, cm, schema)
+        pen, pen_grad = penalties_batch(x_now, schema, penalty, box)
         lam = lams[rows]
         lam_eff = lam if cost_on else np.zeros_like(lam)
         step = (input_gradient_batch(model, cache, up)
@@ -296,7 +332,6 @@ def _search(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
     best_u, iterations, diverged, history = _descend(
         evaluate, (starts - mean) / std, oc.max_iters, oc.lr,
         oc.max_iters // 2, oc.tol, oc.patience)
-    u_origin = (x - mean) / std
     results = []
     for i, lam in enumerate(lams):
         t = int(diverged[i])
@@ -308,11 +343,11 @@ def _search(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
             continue
         # coordinates that barely moved snap back exactly before rounding
         moved = best_u[i].copy()
-        dust = np.abs(moved - u_origin) < oc.snap_tol
-        moved[dust] = u_origin[dust]
-        x_tilde = cond(moved * std + mean, schema, (lo, hi))
-        results.append(_package(model, schema, cm, target, div, x, x_tilde,
-                                lam, iterations[i]))
+        dust = np.abs(moved - u_origin[i]) < oc.snap_tol
+        moved[dust] = u_origin[i][dust]
+        x_tilde = cond(moved * std + mean, schema, (lo_rows[i], hi_rows[i]))
+        results.append(_package(model, schema, cm, target, div, x_rows[i],
+                                x_tilde, lam, iterations[i]))
     return results
 
 
@@ -322,12 +357,11 @@ def generate_candidate(model: DenseClassifier, schema: FeatureSchema,
                        penalty: PenaltyConfig | None = None,
                        x_start: np.ndarray | None = None) -> TapCandidate:
     """Run one descent at oc.lam and return the discretized best point."""
+    _check_problem(model, schema, target)
+    x = schema.check_vector(x)
     starts = None if x_start is None else schema.check_vector(x_start)[None, :]
-    (result,) = _search(model, schema, cm, target, x, [oc.lam], oc, div,
-                        penalty, starts=starts)
-    if isinstance(result, DivergedError):
-        raise result
-    return result
+    return _one(_search(model, schema, cm, target, x[None, :], [oc.lam], oc,
+                        div, penalty, starts=starts))
 
 
 @dataclass(frozen=True)
@@ -372,7 +406,8 @@ def meet_budget(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
         lams.append(lams[-1] / factor if delta_max is not None
                     else lams[-1] * factor)
     tried: list[TapCandidate] = []
-    for cand in _search(model, schema, cm, target, x, lams, oc, div, penalty):
+    for cand in _search(model, schema, cm, target, noop.x[None, :], lams, oc,
+                        div, penalty):
         if isinstance(cand, DivergedError):
             raise cand
         tried.append(cand)
@@ -406,15 +441,36 @@ def frontier_sweep(model: DenseClassifier, schema: FeatureSchema,
                    div: DivergenceSpec | None = None,
                    penalty: PenaltyConfig | None = None) -> SweepResult:
     """One candidate per lam, sorted by epsilon; diverged runs are logged."""
+    return _one(frontier_sweep_batch(
+        model, schema, cm, target, schema.check_vector(x)[None, :], lambdas,
+        oc, include_noop, div, penalty))
+
+
+def frontier_sweep_batch(model: DenseClassifier, schema: FeatureSchema,
+                         cm: CostModel, target: TargetSet, xs: np.ndarray,
+                         lambdas, oc: OptConfig, include_noop: bool = True,
+                         div: DivergenceSpec | None = None,
+                         penalty: PenaltyConfig | None = None) -> list:
+    """:func:`frontier_sweep` for every row of an (m, d) matrix in one
+    descent: one SweepResult per individual, in order, or the ValueError
+    its origin raised."""
     lams = [float(lam) for lam in lambdas]
-    results = _search(model, schema, cm, target, x, lams, oc, div, penalty)
-    candidates = [r for r in results if isinstance(r, TapCandidate)]
-    failures = [(lam, str(r)) for lam, r in zip(lams, results)
-                if isinstance(r, DivergedError)]
-    if include_noop:
-        candidates.append(trivial_candidate(model, schema, cm, target, x, div))
-    candidates.sort(key=lambda c: (c.epsilon, c.delta))
-    return SweepResult(candidates=tuple(candidates), failures=tuple(failures))
+    xs = _individuals(model, schema, target, xs)
+    out = [_origin_error(schema, x) for x in xs]
+    good = [i for i, err in enumerate(out) if err is None]
+    results = _search(model, schema, cm, target, xs[good], lams * len(good),
+                      oc, div, penalty)
+    for k, i in enumerate(good):
+        chunk = results[k * len(lams):(k + 1) * len(lams)]
+        candidates = [r for r in chunk if isinstance(r, TapCandidate)]
+        failures = [(lam, str(r)) for lam, r in zip(lams, chunk)
+                    if isinstance(r, DivergedError)]
+        if include_noop:
+            candidates.append(trivial_candidate(model, schema, cm, target,
+                                                xs[i], div))
+        candidates.sort(key=lambda c: (c.epsilon, c.delta))
+        out[i] = SweepResult(tuple(candidates), tuple(failures))
+    return out
 
 
 @dataclass(frozen=True)
@@ -460,49 +516,80 @@ def repair_on_rejection(model: DenseClassifier, verifier, cal,
     passes, the smallest-discrepancy candidate seen (including the
     rejected one) is returned with verified=False.
     """
+    return _one(repair_on_rejection_batch(
+        model, verifier, cal, schema, cm, target, [rejected], [oc],
+        strategies, attempts_per_strategy, div, penalty))
+
+
+def repair_on_rejection_batch(model: DenseClassifier, verifier, cal,
+                              schema: FeatureSchema, cm: CostModel,
+                              target: TargetSet, rejected, ocs,
+                              strategies=("decrease_lambda", "shrink_target",
+                                          "random_restart"),
+                              attempts_per_strategy: int = 2,
+                              div: DivergenceSpec | None = None,
+                              penalty: PenaltyConfig | None = None) -> list:
+    """:func:`repair_on_rejection` for a sequence of rejected candidates in
+    one descent, ocs[i] being candidate i's OptConfig (they may differ only
+    in lam): one RepairOutcome per candidate, in order, or the ValueError
+    its origin raised."""
     from .verify import verify_pair
 
     for strategy in strategies:
         if strategy not in ("decrease_lambda", "shrink_target", "random_restart"):
             raise ValueError(f"unknown repair strategy {strategy!r}")
-    x = np.asarray(rejected.x, dtype=float)
-    lo, hi = schema.box_for(x)
-    rows = [(strategy, a) for strategy in strategies
+    if len(ocs) != len(rejected):
+        raise ValueError("need one OptConfig per rejected candidate")
+    if len({dataclasses.replace(oc, lam=0.0) for oc in ocs}) > 1:
+        raise ValueError("batched repairs may differ only in lam")
+    plan = [(strategy, a) for strategy in strategies
             for a in range(1, attempts_per_strategy + 1)]
-    lams, targets, starts = [], [], []
-    for strategy, a in rows:
-        lams.append(oc.lam / (2.0 ** a) if strategy == "decrease_lambda"
-                    else oc.lam)
-        targets.append(_tightened(target, 0.05 * a)
-                       if strategy == "shrink_target" else target)
-        start = x
-        if strategy == "random_restart":
-            rng = substream(oc.seed, f"repair-restart-{a}")
-            jitter = 0.5 * a * model.std * rng.standard_normal(x.size)
-            jitter[~schema.mutable_mask] = 0.0
-            start = np.clip(x + jitter, lo, hi)
-        starts.append(start)
-    results = _search(model, schema, cm, target, x, lams, oc, div, penalty,
-                      starts=np.array(starts), targets=targets)
-    attempts: list[RepairAttempt] = []
-    for (strategy, a), cand in zip(rows, results):
-        if isinstance(cand, DivergedError):
-            attempts.append(RepairAttempt(strategy, a, None, str(cand)))
-            continue
-        cand = cand.with_verdict(
-            verify_pair(model, verifier, cal, x, cand.x_tilde))
-        attempts.append(RepairAttempt(strategy, a, cand))
-        if cand.verified:
-            return RepairOutcome(cand, True, strategy, tuple(attempts))
-
-    pool = [(att.candidate.discrepancy, att.strategy, att.candidate)
-            for att in attempts if att.candidate is not None]
-    if rejected.discrepancy is not None:
-        pool.append((rejected.discrepancy, None, rejected))
-    if not pool:
-        return RepairOutcome(rejected, False, None, tuple(attempts))
-    _, strategy, best = min(pool, key=lambda item: item[0])
-    return RepairOutcome(best, False, strategy, tuple(attempts))
+    aims = [_tightened(target, 0.05 * a) if strategy == "shrink_target"
+            else target for strategy, a in plan]
+    d = len(schema.features)
+    xs = _individuals(model, schema, target, np.reshape(
+        [schema.check_vector(c.x) for c in rejected], (len(rejected), d)))
+    out = [_origin_error(schema, x) for x in xs]
+    good = [i for i, err in enumerate(out) if err is None]
+    if not good:
+        return out
+    lams, starts = [], []
+    for i in good:
+        lo, hi = schema.box_for(xs[i])
+        for strategy, a in plan:
+            lams.append(ocs[i].lam / (2.0 ** a)
+                        if strategy == "decrease_lambda" else ocs[i].lam)
+            start = xs[i]
+            if strategy == "random_restart":
+                rng = substream(ocs[i].seed, f"repair-restart-{a}")
+                jitter = 0.5 * a * model.std * rng.standard_normal(d)
+                jitter[~schema.mutable_mask] = 0.0
+                start = np.clip(xs[i] + jitter, lo, hi)
+            starts.append(start)
+    results = _search(model, schema, cm, target, xs[good], lams, ocs[0], div,
+                      penalty, starts=np.array(starts), targets=aims * len(good))
+    for k, i in enumerate(good):
+        attempts: list[RepairAttempt] = []
+        for (strategy, a), cand in zip(
+                plan, results[k * len(plan):(k + 1) * len(plan)]):
+            if isinstance(cand, DivergedError):
+                attempts.append(RepairAttempt(strategy, a, None, str(cand)))
+                continue
+            cand = cand.with_verdict(
+                verify_pair(model, verifier, cal, xs[i], cand.x_tilde))
+            attempts.append(RepairAttempt(strategy, a, cand))
+            if cand.verified:
+                out[i] = RepairOutcome(cand, True, strategy, tuple(attempts))
+                break
+        else:   # nothing passed: the smallest discrepancy seen comes back
+            pool = [(att.candidate.discrepancy, att.strategy, att.candidate)
+                    for att in attempts if att.candidate is not None]
+            if rejected[i].discrepancy is not None:
+                pool.append((rejected[i].discrepancy, None, rejected[i]))
+            _, strategy, best = min(pool, key=lambda item: item[0],
+                                    default=(None, None, rejected[i]))
+            out[i] = RepairOutcome(best, False, strategy, tuple(attempts))
+    return out
 
 
 # ---------------------------------------------------------------------------

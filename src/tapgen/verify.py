@@ -47,6 +47,7 @@ __all__ = [
     "GammaCalibration",
     "gamma_from_deltas",
     "calibrate_gamma",
+    "source_digest",
     "save_calibration",
     "load_calibration",
     "Verdict",
@@ -262,17 +263,21 @@ def calibrate_gamma(model: DenseClassifier, verifier: DenseClassifier,
                               lambda a, b: labels[a] != labels[b])
         i, j = codes // n, codes % n
     deltas = _discrepancy_batch(model, verifier, x[i], x[j])
-    digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(x).tobytes())
-    digest.update(np.ascontiguousarray(labels).tobytes())
     return GammaCalibration(
         gamma=gamma_from_deltas(deltas, rate),
         rate=float(rate),
         sample_size=int(deltas.size),
         seed=int(seed),
         source_split=source_split,
-        source_hash=digest.hexdigest(),
+        source_hash=source_digest(x, labels),
     )
+
+
+def source_digest(x: np.ndarray, labels: np.ndarray) -> str:
+    """sha256 of the rows and labels a calibration is drawn from."""
+    digest = hashlib.sha256(np.ascontiguousarray(x, dtype=float).tobytes())
+    digest.update(np.ascontiguousarray(labels).tobytes())
+    return digest.hexdigest()
 
 
 def save_calibration(cal: GammaCalibration, path) -> None:

@@ -5,7 +5,9 @@ grid search over the one free coordinate, the k>=3 oracle hands the
 constrained minimization to scipy's SLSQP, gradients come from central
 differences, and the probability-bound arithmetic is redone in mpmath.
 The per-row descent oracle is the one-vector-at-a-time search that the
-batched kernel replaced, built only from the scalar layer functions.
+batched kernel replaced, built only from the scalar layer functions; the
+per-row attack oracle is the one-point-at-a-time l2 attack that the
+row-batched attack replaced.
 """
 from __future__ import annotations
 
@@ -23,7 +25,13 @@ from tapgen.actionability import (
     penalty_actionable,
     penalty_coherence,
 )
-from tapgen.netcore import forward_cache, input_gradient, predict_proba
+from tapgen.baselines import BaselineResult
+from tapgen.netcore import (
+    forward_cache,
+    input_gradient,
+    logit_input_gradient,
+    predict_proba,
+)
 from tapgen.perturb import OptConfig, TapCandidate
 from tapgen.probspace import (
     DivergenceSpec,
@@ -268,3 +276,93 @@ def per_row_candidate(model, schema, cm, target: TargetSet, x: np.ndarray,
     return TapCandidate(x=x.copy(), x_tilde=x_tilde, lam=oc.lam,
                         epsilon=epsilon, delta=delta, objective=objective,
                         iterations=iterations)
+
+
+def _adam_row(u, grad, m, v, t, lr):
+    """One normalized-ADAM step on one vector."""
+    norm = float(np.linalg.norm(grad))
+    if norm > 0.0:
+        grad = grad / norm
+    m = 0.9 * m + 0.1 * grad
+    v = 0.999 * v + 0.001 * grad * grad
+    m_hat = m / (1.0 - 0.9 ** t)
+    v_hat = v / (1.0 - 0.999 ** t)
+    return u - lr * m_hat / (np.sqrt(v_hat) + 1e-8), m, v
+
+
+def _priced(model, schema, cm, target, div, x, x_tilde, lam, iterations):
+    epsilon = float(cost(x, x_tilde, cm, schema))
+    delta = float(target_distance(predict_proba(model, x_tilde), target, div))
+    objective = delta if epsilon == 0.0 else delta + lam * epsilon
+    return TapCandidate(x=x.copy(), x_tilde=np.array(x_tilde), lam=float(lam),
+                        epsilon=epsilon, delta=delta, objective=objective,
+                        iterations=iterations)
+
+
+def per_row_cw(model, schema, cm, target: TargetSet, x: np.ndarray,
+               attack_class: int, c_range=(1e-3, 1e3),
+               bisection_steps: int = 9, lr: float = 0.05,
+               max_iters: int = 200, kappa: float = 0.0,
+               div: DivergenceSpec | None = None) -> BaselineResult:
+    """The l2 attack on one point at a time, scalar layers only.
+
+    Each bisection step on c runs its own tanh-space normalized-ADAM
+    descent on ||x_tilde - x||^2 + c * hinge(margin); the smallest-l2
+    strictly attacking iterate of a step is its result, and the smallest
+    such result over all steps wins.
+    """
+    div = div if div is not None else kl_divergence()
+    x = np.asarray(x, dtype=float)
+    if int(np.argmax(predict_proba(model, x))) == attack_class:
+        raise ValueError("point is already classified as the attack class")
+    c_lo, c_hi = float(c_range[0]), float(c_range[1])
+    lo, hi = schema.lower_bounds, schema.upper_bounds
+    half = (hi - lo) / 2.0
+    center = (lo + hi) / 2.0
+    w0 = np.arctanh(np.clip((x - center) / half, -1.0 + 1e-8, 1.0 - 1e-8))
+    others = [i for i in range(model.num_classes) if i != attack_class]
+
+    def attack(c: float):
+        w, m, v = w0.copy(), np.zeros_like(w0), np.zeros_like(w0)
+        best_l2, best_x = math.inf, None
+        for t in range(1, max_iters + 1):
+            th = np.tanh(w)
+            x_now = center + half * th
+            cache = forward_cache(model, x_now)
+            j = others[int(np.argmax(cache.logits[others]))]
+            margin = float(cache.logits[j] - cache.logits[attack_class])
+            if margin < 0.0:
+                l2 = float(np.sum((x_now - x) ** 2))
+                if l2 < best_l2:
+                    best_l2, best_x = l2, x_now.copy()
+            grad_x = 2.0 * (x_now - x)
+            if margin > -kappa:
+                upstream = np.zeros(model.num_classes)
+                upstream[j] = 1.0
+                upstream[attack_class] = -1.0
+                grad_x = grad_x + c * logit_input_gradient(model, x_now,
+                                                           upstream, cache)
+            w, m, v = _adam_row(w, grad_x * half * (1.0 - th * th), m, v, t,
+                                lr)
+        if best_x is None:
+            return False, math.inf, center + half * np.tanh(w)
+        return True, best_l2, best_x
+
+    trials, best, fallback = [], None, None
+    for _ in range(bisection_steps):
+        c = math.sqrt(c_lo * c_hi)
+        ok, l2, x_adv = attack(c)
+        cand = _priced(model, schema, cm, target, div, x, x_adv, c, max_iters)
+        trials.append(cand)
+        if ok:
+            if best is None or l2 < best[0]:
+                best = (l2, cand)
+            c_hi = c
+        else:
+            fallback = cand
+            c_lo = c
+    if best is not None:
+        return BaselineResult(candidate=best[1], flipped=True,
+                              trials=tuple(trials))
+    return BaselineResult(candidate=fallback if fallback is not None
+                          else trials[-1], flipped=False, trials=tuple(trials))

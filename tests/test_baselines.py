@@ -9,10 +9,15 @@ from tapgen.actionability import (
     QuadraticTerm,
     cost,
 )
-from tapgen.baselines import cw_l2, mad_weights, wachter_counterfactual
+from tapgen.baselines import (
+    cw_l2,
+    cw_l2_batch,
+    mad_weights,
+    wachter_counterfactual,
+)
 from tapgen.netcore import (
     TrainConfig,
-    forward_cache,
+    forward_cache_batch,
     predict_proba,
     predict_proba_batch,
     train_classifier,
@@ -183,19 +188,20 @@ class TestCwL2:
         assert flips / len(pts) >= 0.95
 
     def test_one_forward_pass_per_iteration(self, blob, monkeypatch):
+        # one batched pass per iteration serves every individual at once
         import tapgen.baselines as tb
         model, x, _, schema, cm, target = blob
-        pt = wrong_side_points(model, x, 1)[0]
+        pts = wrong_side_points(model, x, 3)
         calls = []
 
         def counting(model, x_now):
-            calls.append(1)
-            return forward_cache(model, x_now)
+            calls.append(len(x_now))
+            return forward_cache_batch(model, x_now)
 
-        monkeypatch.setattr(tb, "forward_cache", counting)
-        cw_l2(model, schema, cm, target, pt, attack_class=1,
-              bisection_steps=2, max_iters=25)
-        assert len(calls) == 2 * 25
+        monkeypatch.setattr(tb, "forward_cache_batch", counting)
+        cw_l2_batch(model, schema, cm, target, pts, attack_class=1,
+                    bisection_steps=2, max_iters=25)
+        assert calls == [3] * (2 * 25)
 
     def test_output_stays_inside_global_bounds(self, blob):
         model, x, _, schema, cm, target = blob

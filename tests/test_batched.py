@@ -3,14 +3,17 @@
 Every batched layer must agree row for row with the scalar function it
 stands in for during descent, for a batch of one as for a permuted batch.
 The batched frontier sweep must agree with the per-row search it replaced
-(``oracles.per_row_candidate``) on the full-size benchmark problem.
+(``oracles.per_row_candidate``) on the full-size benchmark problem, and the
+row-batched l2 attack bit for bit with the per-point attack it replaced
+(``oracles.per_row_cw``).  Every ``_batch`` twin must return, slot by
+slot, exactly what its single-individual call returns or raises.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import per_row_candidate, random_target_set
+from oracles import per_row_candidate, per_row_cw, random_target_set
 from tapgen.actionability import (
     CostModel,
     Feature,
@@ -26,7 +29,13 @@ from tapgen.actionability import (
     penalty_actionable,
     penalty_coherence,
 )
-from tapgen.bench import benchmark_problem
+from tapgen.baselines import (
+    cw_l2,
+    cw_l2_batch,
+    wachter_counterfactual,
+    wachter_counterfactual_batch,
+)
+from tapgen.bench import METHODS, benchmark_problem
 from tapgen.netcore import (
     DenseClassifier,
     forward_cache,
@@ -34,7 +43,14 @@ from tapgen.netcore import (
     input_gradient,
     input_gradient_batch,
 )
-from tapgen.perturb import OptConfig, frontier_sweep
+from tapgen.perturb import (
+    OptConfig,
+    TapCandidate,
+    frontier_sweep,
+    frontier_sweep_batch,
+    repair_on_rejection,
+    repair_on_rejection_batch,
+)
 from tapgen.presets import adult_income_preset
 from tapgen.probspace import (
     TargetSet,
@@ -98,35 +114,50 @@ def adult_problem():
     return schema, cm
 
 
-def adult_rows(seed, n, spread=1.0):
-    """A coherent adult origin and n relaxed moves around it (row 0 stays)."""
-    schema, cm = adult_problem()
-    rng = np.random.default_rng(seed)
+def adult_origin(schema, rng):
     x = np.zeros(len(schema.features))
     x[0] = rng.integers(17, 91)
     x[1] = rng.integers(1, 100)
     for idx in schema.onehot_groups.values():
         x[rng.choice(idx)] = 1.0
-    x_tilde = x + spread * rng.standard_normal((n, x.size)) * (
-        rng.random((n, x.size)) < 0.5)
-    x_tilde[0] = x
+    return x
+
+
+def adult_rows(seed, n, spread=1.0, per_row=False):
+    """A coherent adult origin and n relaxed moves around it (row 0 stays);
+    with ``per_row`` an (n, d) matrix of coherent origins, one per move."""
+    schema, cm = adult_problem()
+    rng = np.random.default_rng(seed)
+    x = (np.array([adult_origin(schema, rng) for _ in range(n)]) if per_row
+         else adult_origin(schema, rng))
+    x_tilde = x + spread * rng.standard_normal((n, x.shape[-1])) * (
+        rng.random((n, x.shape[-1])) < 0.5)
+    x_tilde[0] = x[0] if per_row else x
     x_tilde[:, :2] *= 1.0 + spread * rng.standard_normal((n, 1))
     return schema, cm, x, x_tilde
 
 
+def row_origins(x, n):
+    """Row i's origin from a (d,) vector or an (n, d) matrix of origins."""
+    return np.broadcast_to(x, (n, x.shape[-1]))
+
+
 def check_cost_rows(schema, cm, x, x_tilde):
     value, grad = cost_batch(x, x_tilde, cm, schema)
-    for i, row in enumerate(x_tilde):
-        np.testing.assert_allclose(value[i], cost(x, row, cm, schema), **TOL)
-        np.testing.assert_allclose(grad[i], cost_grad(x, row, cm, schema),
+    for i, (origin, row) in enumerate(zip(row_origins(x, len(x_tilde)),
+                                          x_tilde)):
+        np.testing.assert_allclose(value[i], cost(origin, row, cm, schema),
                                    **TOL)
+        np.testing.assert_allclose(grad[i],
+                                   cost_grad(origin, row, cm, schema), **TOL)
     return value, grad
 
 
 def check_penalty_rows(schema, x, x_tilde, pc=PenaltyConfig()):
-    box = schema.box_for(x)
-    value, grad = penalties_batch(x_tilde, schema, pc, box)
-    for i, row in enumerate(x_tilde):
+    value, grad = penalties_batch(x_tilde, schema, pc, schema.box_for(x))
+    for i, (origin, row) in enumerate(zip(row_origins(x, len(x_tilde)),
+                                          x_tilde)):
+        box = schema.box_for(origin)
         box_val, box_grad = penalty_actionable(row, schema, pc, box)
         grp_val, grp_grad = penalty_coherence(row, schema, pc)
         np.testing.assert_allclose(value[i], box_val + grp_val, **TOL)
@@ -182,16 +213,24 @@ class TestLayersMatchScalar:
 
     @PROPERTY
     @given(seed=SEEDS, n=st.integers(1, 10),
-           spread=st.sampled_from([0.01, 1.0, 5.0]))
-    def test_cost_adult_all_term_kinds(self, seed, n, spread):
-        check_cost_rows(*adult_rows(seed, n, spread))
+           spread=st.sampled_from([0.01, 1.0, 5.0]), per_row=st.booleans())
+    def test_cost_adult_all_term_kinds(self, seed, n, spread, per_row):
+        check_cost_rows(*adult_rows(seed, n, spread, per_row))
 
     @PROPERTY
     @given(seed=SEEDS, n=st.integers(1, 10),
-           spread=st.sampled_from([0.01, 1.0, 50.0]))
-    def test_penalties(self, seed, n, spread):
-        schema, _, x, x_tilde = adult_rows(seed, n, spread)
+           spread=st.sampled_from([0.01, 1.0, 50.0]), per_row=st.booleans())
+    def test_penalties(self, seed, n, spread, per_row):
+        # per-row origins give per-row boxes with their own frozen values
+        schema, _, x, x_tilde = adult_rows(seed, n, spread, per_row)
         check_penalty_rows(schema, x, x_tilde)
+
+    def test_box_for_rows_matches_each_row(self):
+        schema, _, x, _ = adult_rows(5, 6, per_row=True)
+        lo, hi = schema.box_for(x)
+        for i, origin in enumerate(x):
+            assert all(np.array_equal(a, b) for a, b in
+                       zip((lo[i], hi[i]), schema.box_for(origin)))
 
     @PROPERTY
     @given(seed=SEEDS, n=st.integers(1, 10))
@@ -328,3 +367,157 @@ def test_batched_sweep_matches_per_row_oracle(bench_results_two_seeds):
     assert np.median(eps_gap) <= 1e-9 and np.median(delta_gap) <= 1e-9
     assert max(abs_gap) <= 0.05
     assert agree >= 0.99 * verdicts
+
+
+# ---------------------------------------------------------------------------
+# the row-batched attack against the per-point attack it replaced
+
+
+def same_candidate(a: TapCandidate, b: TapCandidate) -> bool:
+    """Bit-for-bit equality of everything a candidate reports."""
+    return (np.array_equal(a.x, b.x) and np.array_equal(a.x_tilde, b.x_tilde)
+            and (a.lam, a.epsilon, a.delta, a.objective, a.iterations,
+                 a.verified, a.discrepancy)
+            == (b.lam, b.epsilon, b.delta, b.objective, b.iterations,
+                b.verified, b.discrepancy))
+
+
+def same_outcome(got, want) -> bool:
+    """Equal results, or exceptions of one type with one message."""
+    if isinstance(want, Exception) or isinstance(got, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    trials = getattr(want, "trials", getattr(want, "candidates", None))
+    got_trials = getattr(got, "trials", getattr(got, "candidates", None))
+    return (len(trials) == len(got_trials)
+            and all(map(same_candidate, got_trials, trials))
+            and getattr(got, "failures", None) == getattr(want, "failures", None)
+            and (not hasattr(want, "flipped")
+                 or (got.flipped == want.flipped
+                     and same_candidate(got.candidate, want.candidate))))
+
+
+def test_batched_cw_matches_per_row_oracle(bench_results_two_seeds):
+    schema, cm, target = benchmark_problem()
+    trials = 0
+    for result in bench_results_two_seeds:
+        cfg = result.config
+        x, _ = sample_synthetic(canonical_benchmark_spec(), cfg.n_samples,
+                                cfg.seed)
+        points = x[list(result.individual_ids)]
+        batched = cw_l2_batch(result.model, schema, cm, target, points,
+                              attack_class=1)
+        for point, got in zip(points, batched):
+            try:
+                want = per_row_cw(result.model, schema, cm, target, point,
+                                  attack_class=1)
+            except ValueError as err:
+                want = err
+            assert same_outcome(got, want)
+            if not isinstance(want, Exception):
+                assert ([c.lam for c in got.trials]
+                        == [c.lam for c in want.trials])   # the c schedule
+                trials += len(want.trials)
+    assert trials >= 2 * 30 * 9
+
+
+# ---------------------------------------------------------------------------
+# a bad individual does not sink its batch
+
+
+FAST = dict(max_iters=60, patience=5)
+
+
+@pytest.fixture(scope="module")
+def mixed_batch(bench_data, bench_model):
+    """Four wrong-side individuals, one point outside the feature bounds
+    and one the model already places in the desirable class."""
+    _, x, _ = bench_data
+    p1 = forward_cache_batch(bench_model, x).probs[:, 1]
+    good = x[np.flatnonzero((p1 > 0.05) & (p1 < 0.45))[:4]]
+    outside = good[0] + np.array([0.0, 0.0, 20.0, 0.0])
+    desired = x[np.flatnonzero(p1 > 0.9)[0]]
+    return np.vstack([good[:2], outside, good[2:3], desired, good[3:]])
+
+
+def run_single(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as err:
+        return err
+
+
+def test_twins_isolate_bad_individuals(bench_model, bench_schema, bench_cost,
+                                       bench_target, bench_verifier,
+                                       bench_calibration, bench_data,
+                                       mixed_batch):
+    problem = (bench_model, bench_schema, bench_cost, bench_target)
+    oc = OptConfig(lam=0.5, **FAST)
+    lams = (0.0, 0.05, 1.0)
+    sweeps = frontier_sweep_batch(*problem, mixed_batch, lams, oc)
+    for x, got in zip(mixed_batch, sweeps):
+        assert same_outcome(got, run_single(frontier_sweep, *problem, x, lams,
+                                            oc))
+    assert "outside the feature bounds" in str(sweeps[2])
+
+    # repair the cheapest moved candidate of each sweep; the bad origin
+    # comes back as a candidate that never started inside its box
+    rejected = [TapCandidate(x=x, x_tilde=x, lam=1.0, epsilon=0.0, delta=1.0,
+                             objective=1.0, iterations=0, verified=False,
+                             discrepancy=0.5)
+                if isinstance(sweep, Exception) else sweep.candidates[-1]
+                for x, sweep in zip(mixed_batch, sweeps)]
+    ocs = [OptConfig(lam=c.lam if np.isfinite(c.lam) else 1.0, **FAST)
+           for c in rejected]
+    repairs = repair_on_rejection_batch(
+        bench_model, bench_verifier, bench_calibration, *problem[1:],
+        rejected, ocs, attempts_per_strategy=1)
+    for cand, run_oc, got in zip(rejected, ocs, repairs):
+        want = run_single(repair_on_rejection, bench_model, bench_verifier,
+                          bench_calibration, *problem[1:], cand, run_oc,
+                          attempts_per_strategy=1)
+        if isinstance(want, Exception):
+            assert same_outcome(got, want)
+            continue
+        assert (got.verified, got.strategy) == (want.verified, want.strategy)
+        assert same_candidate(got.candidate, want.candidate)
+        assert [(a.strategy, a.attempt, a.error) for a in got.attempts] == [
+            (a.strategy, a.attempt, a.error) for a in want.attempts]
+    assert isinstance(repairs[2], ValueError)
+
+    _, x, _ = bench_data
+    attacks = cw_l2_batch(*problem, mixed_batch, attack_class=1,
+                          bisection_steps=3, max_iters=40)
+    counterfactuals = wachter_counterfactual_batch(
+        *problem, mixed_batch, x[:500], max_iters=60)
+    for point, attack, cf in zip(mixed_batch, attacks, counterfactuals):
+        assert same_outcome(attack, run_single(
+            cw_l2, *problem, point, attack_class=1, bisection_steps=3,
+            max_iters=40))
+        assert same_outcome(cf, wachter_counterfactual(
+            *problem, point, x[:500], max_iters=60))
+    assert "already classified" in str(attacks[4])
+    assert counterfactuals[4].trials[0].is_noop
+
+
+def test_batch_of_none(bench_model, bench_schema, bench_cost, bench_target,
+                       bench_verifier, bench_calibration, bench_data):
+    problem = (bench_model, bench_schema, bench_cost, bench_target)
+    empty = np.empty((0, 4))
+    assert frontier_sweep_batch(*problem, empty, (0.1,), OptConfig()) == []
+    assert repair_on_rejection_batch(bench_model, bench_verifier,
+                                     bench_calibration, *problem[1:], [],
+                                     []) == []
+    assert cw_l2_batch(*problem, empty, attack_class=1) == []
+    assert wachter_counterfactual_batch(*problem, empty,
+                                        bench_data[1][:50]) == []
+
+
+def test_benchmark_output_order(bench_results_two_seeds):
+    """Records and failures are laid out individual by individual, in the
+    order tap, wachter, cw within each individual."""
+    for result in bench_results_two_seeds:
+        for rows in ([(r.individual_id, r.method) for r in result.records],
+                     [(i, m) for i, m, _ in result.failures]):
+            keys = [(result.individual_ids.index(i), METHODS.index(m))
+                    for i, m in rows]
+            assert keys == sorted(keys)

@@ -344,6 +344,23 @@ class TestExitCodes:
         assert rc == EXIT_SCHEMA
         assert "malformed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    def test_calibration_source_hash_checked(self, ws, tmp_path, capsys,
+                                             command):
+        argv = [command, "--config", ws["config"], "--model", ws["model"],
+                "--verifier", ws["verifier"], "--individual", str(ws["idx"]),
+                "--lambda", "0.02", "--out", str(tmp_path)]
+        assert main([*argv, "--calibration", ws["calibration"]]) == 0
+        payload = json.loads(Path(ws["calibration"]).read_text())
+        real = payload["source_hash"]
+        payload["source_hash"] = "0" * len(real)
+        edited = tmp_path / "calibration.json"
+        edited.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main([*argv, "--calibration", str(edited)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "0" * len(real) in err and real in err
+
     def test_model_shape_mismatch_is_3(self, ws, tmp_path):
         payload = json.loads(Path(ws["model"]).read_text())
         payload["weights"][0] = payload["weights"][0][:-1]
