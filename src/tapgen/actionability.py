@@ -277,8 +277,8 @@ def cost_batch(x: np.ndarray, x_tilde: np.ndarray, cm: CostModel,
                schema: FeatureSchema) -> tuple[np.ndarray, np.ndarray]:
     """:func:`cost` and its gradient for every row of an (n, d) x_tilde;
     the terms are gathered once per call into dense per-feature weights.
-    The origin x is one (d,) vector, priced against all rows in one product,
-    or an (n, d) matrix of per-row origins, priced row by row."""
+    The origin x is an (n, d) matrix of per-row origins, or one (d,) vector
+    broadcast to every row; each row is priced alone."""
     d = len(schema.features)
     quad, lin, trig = np.zeros(d), np.zeros(d), np.zeros(d)
     for dense, terms, attr in ((quad, cm.quadratic, "weight"),
@@ -286,20 +286,16 @@ def cost_batch(x: np.ndarray, x_tilde: np.ndarray, cm: CostModel,
                                (trig, cm.triggers, "cost_on")):
         for term in terms:
             dense[schema.index(term.feature)] += getattr(term, attr)
-    x = np.asarray(x, dtype=float)
     x_tilde = np.asarray(x_tilde, dtype=float)
+    x = np.broadcast_to(np.asarray(x, dtype=float), x_tilde.shape)
     step = x_tilde - x
     value = np.sum(quad * step ** 2 + lin * step
                    + trig * np.maximum(step, 0.0), axis=1)
     grad = 2.0 * quad * step + lin + trig * (step > 0.0)
     for term in cm.transitions:
         idx = _resolve_group(schema, term)
-        if x.ndim == 1:
-            pull = x[idx] @ term.matrix
-            value = value + x_tilde[:, idx] @ pull
-        else:
-            pull = (x[:, None, idx] @ term.matrix)[:, 0]
-            value = value + (x_tilde[:, None, idx] @ pull[:, :, None])[:, 0, 0]
+        pull = (x[:, None, idx] @ term.matrix)[:, 0]
+        value = value + (x_tilde[:, None, idx] @ pull[:, :, None])[:, 0, 0]
         grad[:, idx] += pull
     return value, grad
 

@@ -209,10 +209,13 @@ def _individual_row(args, x: np.ndarray) -> int:
 
 def _split_rows(model: DenseClassifier, n: int, split: str) -> tuple[list[int], str]:
     """Recorded split rows when the model was trained on this dataset."""
-    indices = model.metadata.get("split_indices") if model.metadata else None
-    if not indices or split not in indices:
-        return list(range(n)), "all"
-    rows = [int(i) for i in indices[split]]
+    indices = model.metadata.get("split_indices") or {}
+    rows = indices.get(split, []) if isinstance(indices, dict) else None
+    if not isinstance(rows, list) or not all(
+            type(i) is int and i >= 0 for i in rows):
+        raise SchemaMismatchError(
+            "model split_indices must map split names to lists of "
+            "non-negative row numbers")
     if not rows:
         return list(range(n)), "all"
     if max(rows) >= n:
@@ -284,7 +287,7 @@ def load_candidate(path, schema) -> tuple[np.ndarray, np.ndarray, dict]:
     except json.JSONDecodeError as exc:
         raise SchemaMismatchError(
             f"candidate file {path} is not valid JSON: {exc}") from None
-    if doc.get("kind") != "perturbation-candidate":
+    if not isinstance(doc, dict) or doc.get("kind") != "perturbation-candidate":
         raise SchemaMismatchError(f"candidate file {path} has unknown kind")
     rows = doc.get("features")
     if not isinstance(rows, list):
@@ -367,10 +370,16 @@ def replay_manifest(manifest_path, out_dir=None) -> int:
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise MissingModelError(f"manifest file not found: {manifest_path}")
-    doc = json.loads(manifest_path.read_text())
-    if doc.get("kind") != "run-manifest":
+    try:
+        doc = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise SchemaMismatchError(
+            f"manifest file {manifest_path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("kind") != "run-manifest":
         raise SchemaMismatchError(
             f"manifest file {manifest_path} has unknown kind")
+    if not isinstance(doc.get("args"), dict):
+        raise SchemaMismatchError(f"manifest file {manifest_path} lacks args")
     rec = dict(doc["args"])
     out = Path(out_dir) if out_dir is not None else Path(rec.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)

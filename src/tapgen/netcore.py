@@ -118,34 +118,48 @@ def _standardize(model: DenseClassifier, x: np.ndarray) -> np.ndarray:
     return (x - model.mean) / model.std
 
 
-def _forward_batch(weights, biases, x_std: np.ndarray):
+def _forward_batch(weights, biases, x_std: np.ndarray, masks=()):
+    """Pre-activations, activations and logits of the ReLU stack; in
+    training, ``masks`` scales each hidden activation by its dropout mask."""
     acts = [x_std]
     pres = []
     h = x_std
-    for w, b in zip(weights[:-1], biases[:-1]):
+    for layer, (w, b) in enumerate(zip(weights[:-1], biases[:-1])):
         z = h @ w.T + b
         pres.append(z)
         h = np.maximum(z, 0.0)
+        if masks:
+            h = h * masks[layer]
         acts.append(h)
     logits = h @ weights[-1].T + biases[-1]
     return pres, acts, logits
 
 
-def forward_cache(model: DenseClassifier, x: np.ndarray) -> ForwardCache:
+def _row(model: DenseClassifier, x: np.ndarray) -> np.ndarray:
+    """x as one feature vector of the model, or a ValueError."""
     x = np.asarray(x, dtype=float)
     if x.shape != (model.num_features,):
         raise ValueError(
             f"expected {model.num_features} features, got shape {x.shape}"
         )
-    xs = _standardize(model, x)
-    pres, acts, logits = _forward_batch(model.weights, model.biases, xs[None, :])
-    probs = _softmax(logits / model.temperature)
-    return ForwardCache(xs, [p[0] for p in pres], [a[0] for a in acts],
-                        logits[0], probs[0])
+    return x
+
+
+def _map_cache(cache: ForwardCache, f) -> ForwardCache:
+    """The cache with f applied to each of its arrays."""
+    return ForwardCache(f(cache.x_std), [f(z) for z in cache.pre],
+                        [f(a) for a in cache.act], f(cache.logits),
+                        f(cache.probs))
+
+
+def forward_cache(model: DenseClassifier, x: np.ndarray) -> ForwardCache:
+    """One-row view of :func:`forward_cache_batch`."""
+    batch = forward_cache_batch(model, _row(model, x)[None, :])
+    return _map_cache(batch, lambda a: a[0])
 
 
 def forward_cache_batch(model: DenseClassifier, x: np.ndarray) -> ForwardCache:
-    """:func:`forward_cache` for every row of an (n, d) matrix at once.  The
+    """The forward pass for every row of an (n, d) matrix at once.  The
     products are stacked matrix-vector products, so each row rounds exactly
     as it does alone and no row depends on the others in the batch."""
     xs = _standardize(model, np.asarray(x, dtype=float))
@@ -164,9 +178,7 @@ def predict_proba_batch(model: DenseClassifier, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.num_features:
         raise ValueError("expected (n, d) feature matrix matching the model")
-    xs = _standardize(model, x)
-    _, _, logits = _forward_batch(model.weights, model.biases, xs)
-    return _softmax(logits / model.temperature)
+    return forward_cache_batch(model, x).probs
 
 
 def predict_logits(model: DenseClassifier, x: np.ndarray) -> np.ndarray:
@@ -174,34 +186,28 @@ def predict_logits(model: DenseClassifier, x: np.ndarray) -> np.ndarray:
     return forward_cache(model, x).logits
 
 
-def _backward_from_logits(model: DenseClassifier, cache: ForwardCache,
-                          g_logits: np.ndarray) -> np.ndarray:
-    g = model.weights[-1].T @ g_logits
-    for w, pre in zip(reversed(model.weights[:-1]), reversed(cache.pre)):
-        g = g * (pre > 0.0)
-        g = w.T @ g
-    # Chain through the standardizer back to raw feature units.
-    return g / model.std
-
-
 def input_gradient(model: DenseClassifier, x: np.ndarray,
                    upstream: np.ndarray,
                    cache: ForwardCache | None = None) -> np.ndarray:
-    """J^T upstream, where J is the Jacobian of predict_proba at x."""
-    if cache is None:
-        cache = forward_cache(model, x)
+    """J^T upstream, where J is the Jacobian of predict_proba at x; a
+    one-row view of :func:`input_gradient_batch`."""
+    return _row_gradient(input_gradient_batch, model, x, upstream, cache)
+
+
+def _row_gradient(batch_gradient, model, x, upstream, cache) -> np.ndarray:
+    """One-row call of a batched input gradient, checking the upstream."""
+    cache = forward_cache(model, x) if cache is None else cache
     upstream = np.asarray(upstream, dtype=float)
     if upstream.shape != (model.num_classes,):
         raise ValueError("upstream vector must have one entry per class")
-    s = cache.probs
-    g_logits = s * (upstream - float(s @ upstream)) / model.temperature
-    return _backward_from_logits(model, cache, g_logits)
+    return batch_gradient(model, _map_cache(cache, lambda a: a[None]),
+                          upstream[None, :])[0]
 
 
 def input_gradient_batch(model: DenseClassifier, cache: ForwardCache,
                          upstream: np.ndarray) -> np.ndarray:
-    """Row-wise J^T upstream for a cache from :func:`forward_cache_batch`,
-    rounding exactly as :func:`input_gradient` does on each row."""
+    """Row-wise J^T upstream for a cache from :func:`forward_cache_batch`;
+    each row rounds exactly as it does alone."""
     s = cache.probs
     agree = (s[:, None, :] @ upstream[:, :, None])[:, 0]
     return logit_input_gradient_batch(
@@ -210,8 +216,8 @@ def input_gradient_batch(model: DenseClassifier, cache: ForwardCache,
 
 def logit_input_gradient_batch(model: DenseClassifier, cache: ForwardCache,
                                upstream: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`logit_input_gradient` for a cache from
-    :func:`forward_cache_batch`, rounding exactly as it does on each row."""
+    """Row-wise J^T upstream for the pre-softmax logits, for a cache from
+    :func:`forward_cache_batch`; each row rounds exactly as it does alone."""
     g = model.weights[-1].T @ upstream[:, :, None]
     for w, pre in zip(reversed(model.weights[:-1]), reversed(cache.pre)):
         g = w.T @ (g * (pre > 0.0)[:, :, None])
@@ -221,13 +227,9 @@ def logit_input_gradient_batch(model: DenseClassifier, cache: ForwardCache,
 def logit_input_gradient(model: DenseClassifier, x: np.ndarray,
                          upstream: np.ndarray,
                          cache: ForwardCache | None = None) -> np.ndarray:
-    """Same as :func:`input_gradient` but for the pre-softmax logits."""
-    if cache is None:
-        cache = forward_cache(model, x)
-    upstream = np.asarray(upstream, dtype=float)
-    if upstream.shape != (model.num_classes,):
-        raise ValueError("upstream vector must have one entry per class")
-    return _backward_from_logits(model, cache, upstream)
+    """Same as :func:`input_gradient` but for the pre-softmax logits; a
+    one-row view of :func:`logit_input_gradient_batch`."""
+    return _row_gradient(logit_input_gradient_batch, model, x, upstream, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -299,24 +301,20 @@ def train_classifier(x: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
     std = x_train.std(axis=0)
     std = np.where(std <= 0.0, 1.0, std)
 
-    xs = {"train": (x_train - mean) / std}
-    if idx_val.size:
-        xs["val"] = (x[idx_val] - mean) / std
-    if idx_test.size:
-        xs["test"] = (x[idx_test] - mean) / std
+    splits = {"train": idx_train, "val": idx_val, "test": idx_test}
+    xs = {name: (x[idx] - mean) / std for name, idx in splits.items()}
 
     layer_dims = (x.shape[1], *hidden_dims, k)
     weights, biases = _init_params(layer_dims, substream(cfg.seed, "init"))
-    m_w = [np.zeros_like(w) for w in weights]
-    v_w = [np.zeros_like(w) for w in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
+    params = [*weights, *biases]        # updated in place
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
     step = 0
 
     batch_rng = substream(cfg.seed, "batches")
     drop_rng = substream(cfg.seed, "dropout")
     n_train = x_train.shape[0]
     keep = 1.0 - dropout_rate
+    depth = len(weights)
 
     best_val = math.inf
     best_snapshot = ([w.copy() for w in weights], [b.copy() for b in biases])
@@ -330,56 +328,38 @@ def train_classifier(x: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
         order = batch_rng.permutation(n_train)
         for start in range(0, n_train, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            xb = xs["train"][batch]
             yb = y_train[batch]
+            masks = [(drop_rng.random((yb.size, w.shape[0])) < keep) / keep
+                     for w in weights[:-1]] if dropout_rate > 0.0 else []
+            pres, acts, logits = _forward_batch(weights, biases,
+                                                xs["train"][batch], masks)
 
-            acts = [xb]
-            pres = []
-            masks = []
-            h = xb
-            for w, b in zip(weights[:-1], biases[:-1]):
-                z = h @ w.T + b
-                pres.append(z)
-                h = np.maximum(z, 0.0)
-                if dropout_rate > 0.0:
-                    mask = (drop_rng.random(h.shape) < keep) / keep
-                    h = h * mask
-                    masks.append(mask)
-                acts.append(h)
-            logits = h @ weights[-1].T + biases[-1]
-            probs = _softmax(logits)
-
-            g = probs
+            g = _softmax(logits)
             g[np.arange(yb.size), yb] -= 1.0
             g /= yb.size
 
-            grads_w = [None] * len(weights)
-            grads_b = [None] * len(biases)
-            for layer in range(len(weights) - 1, -1, -1):
-                grads_w[layer] = g.T @ acts[layer]
-                grads_b[layer] = g.sum(axis=0)
+            grads = [None] * len(params)     # weight grads, then bias grads
+            for layer in range(depth - 1, -1, -1):
+                grads[layer] = g.T @ acts[layer]
+                grads[depth + layer] = g.sum(axis=0)
                 if layer > 0:
                     g = g @ weights[layer]
-                    if dropout_rate > 0.0:
+                    if masks:
                         g = g * masks[layer - 1]
                     g = g * (pres[layer - 1] > 0.0)
 
             step += 1
             correct1 = 1.0 - _ADAM_B1 ** step
             correct2 = 1.0 - _ADAM_B2 ** step
-            for layer in range(len(weights)):
-                m_w[layer] = _ADAM_B1 * m_w[layer] + (1 - _ADAM_B1) * grads_w[layer]
-                v_w[layer] = _ADAM_B2 * v_w[layer] + (1 - _ADAM_B2) * grads_w[layer] ** 2
-                weights[layer] -= cfg.learning_rate * (m_w[layer] / correct1) / (
-                    np.sqrt(v_w[layer] / correct2) + _ADAM_EPS
-                )
-                m_b[layer] = _ADAM_B1 * m_b[layer] + (1 - _ADAM_B1) * grads_b[layer]
-                v_b[layer] = _ADAM_B2 * v_b[layer] + (1 - _ADAM_B2) * grads_b[layer] ** 2
-                biases[layer] -= cfg.learning_rate * (m_b[layer] / correct1) / (
-                    np.sqrt(v_b[layer] / correct2) + _ADAM_EPS
-                )
+            for p, grad, (m, v) in zip(params, grads, moments):
+                m *= _ADAM_B1
+                m += (1 - _ADAM_B1) * grad
+                v *= _ADAM_B2
+                v += (1 - _ADAM_B2) * grad ** 2
+                p -= cfg.learning_rate * (m / correct1) / (
+                    np.sqrt(v / correct2) + _ADAM_EPS)
 
-        if "val" in xs:
+        if idx_val.size:
             _, _, val_logits = _forward_batch(weights, biases, xs["val"])
             val_loss = _cross_entropy(_softmax(val_logits), labels[idx_val])
             val_history.append(val_loss)
@@ -394,13 +374,25 @@ def train_classifier(x: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
                 if stall > cfg.patience:
                     break
 
-    if "val" in xs:
+    if idx_val.size:
         weights, biases = best_snapshot
     else:
         best_epoch = epochs_run
         best_val = float("nan")
 
-    model = DenseClassifier(
+    metadata = {
+        "epochs_run": epochs_run,
+        "best_epoch": best_epoch,
+        "best_val_loss": best_val,
+        "val_loss_history": val_history,
+        "split_sizes": [int(idx.size) for idx in splits.values()],
+        "split_indices": {name: [int(i) for i in idx]
+                          for name, idx in splits.items()},
+    }
+    for name, idx in splits.items():
+        _, _, logits = _forward_batch(weights, biases, xs[name])
+        metadata[f"{name}_accuracy"] = _accuracy(_softmax(logits), labels[idx])
+    return DenseClassifier(
         layer_dims=layer_dims,
         weights=weights,
         biases=biases,
@@ -408,28 +400,8 @@ def train_classifier(x: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
         std=std,
         dropout_rate=float(dropout_rate),
         seed=cfg.seed,
-        metadata={},
+        metadata=metadata,
     )
-    metadata = {
-        "epochs_run": epochs_run,
-        "best_epoch": best_epoch,
-        "best_val_loss": best_val,
-        "val_loss_history": val_history,
-        "split_sizes": [int(idx_train.size), int(idx_val.size), int(idx_test.size)],
-        "split_indices": {
-            "train": [int(i) for i in idx_train],
-            "val": [int(i) for i in idx_val],
-            "test": [int(i) for i in idx_test],
-        },
-    }
-    for name, idx in (("train", idx_train), ("val", idx_val), ("test", idx_test)):
-        if idx.size:
-            probs = predict_proba_batch(model, x[idx])
-            metadata[f"{name}_accuracy"] = _accuracy(probs, labels[idx])
-        else:
-            metadata[f"{name}_accuracy"] = float("nan")
-    model.metadata = metadata
-    return model
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +523,15 @@ def _shape_problem(model: DenseClassifier) -> str | None:
     return None
 
 
+def _numbers_only(value) -> bool:
+    """True when every leaf of nested lists and dicts is an int or a float;
+    JSON booleans and strings are not numbers."""
+    if isinstance(value, (list, dict)):
+        values = value.values() if isinstance(value, dict) else value
+        return all(_numbers_only(v) for v in values)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_model(path) -> DenseClassifier:
     """Read a saved model; a malformed file raises ValueError."""
     path = Path(path)
@@ -575,7 +556,13 @@ def load_model(path) -> DenseClassifier:
             seed=int(payload["seed"]),
             metadata=payload["metadata"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        if not isinstance(model.metadata, dict):
+            raise TypeError("metadata is not an object")
+        if not _numbers_only([payload[k] for k in (
+                "layer_dims", "weights", "biases", "dropout_rate", "seed")]
+                + [payload["standardizer"], payload.get("temperature", 1.0)]):
+            raise TypeError("a value that must be a number is not one")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"model file {path} is malformed: {exc!r}") from None
     problem = _shape_problem(model)
     if problem is not None:

@@ -295,26 +295,22 @@ def _search(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
         error = _origin_error(schema, origin)
         if error is not None:
             raise error
-    # one origin stays a (d,) vector, which cost_batch prices in one product
-    x = xs[0] if len(xs) == 1 else np.repeat(xs, lams.size // len(xs), axis=0)
+    x = np.repeat(xs, lams.size // len(xs), axis=0)
     lo, hi = schema.box_for(x)
     mean, std = model.mean, model.std
     frozen = ~schema.mutable_mask
-    x_rows, lo_rows, hi_rows, u_origin = (
-        np.broadcast_to(a, (lams.size, len(frozen)))
-        for a in (x, lo, hi, (x - mean) / std))
-    starts = x_rows if starts is None else starts
+    u_origin = (x - mean) / std
+    starts = x if starts is None else starts
 
     def evaluate(rows, u_now, cost_on):
         """Full-lam objective for tracking, muted-lam gradient for stepping."""
-        origin, box = ((x, (lo, hi)) if x.ndim == 1
-                       else (x[rows], (lo[rows], hi[rows])))
         x_now = u_now * std + mean
         cache = forward_cache_batch(model, x_now)
         dist, up = target_distance_batch(cache.probs, target, div,
                                          p[rows], q[rows])
-        price, price_grad = cost_batch(origin, x_now, cm, schema)
-        pen, pen_grad = penalties_batch(x_now, schema, penalty, box)
+        price, price_grad = cost_batch(x[rows], x_now, cm, schema)
+        pen, pen_grad = penalties_batch(x_now, schema, penalty,
+                                        (lo[rows], hi[rows]))
         lam = lams[rows]
         lam_eff = lam if cost_on else np.zeros_like(lam)
         step = (input_gradient_batch(model, cache, up)
@@ -345,8 +341,8 @@ def _search(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
         moved = best_u[i].copy()
         dust = np.abs(moved - u_origin[i]) < oc.snap_tol
         moved[dust] = u_origin[i][dust]
-        x_tilde = cond(moved * std + mean, schema, (lo_rows[i], hi_rows[i]))
-        results.append(_package(model, schema, cm, target, div, x_rows[i],
+        x_tilde = cond(moved * std + mean, schema, (lo[i], hi[i]))
+        results.append(_package(model, schema, cm, target, div, x[i],
                                 x_tilde, lam, iterations[i]))
     return results
 

@@ -29,6 +29,8 @@ import numpy as np
 from .netcore import (
     DenseClassifier,
     TrainConfig,
+    _numbers_only,
+    _row,
     fit_temperature,
     predict_proba,
     predict_proba_batch,
@@ -130,10 +132,7 @@ def build_pair_dataset(x: np.ndarray, labels: np.ndarray,
     same_universe = sum(v * (v - 1) for v in counts.values())
 
     if total <= max_pairs:
-        i = np.repeat(np.arange(n), n)
-        j = np.tile(np.arange(n), n)
-        keep = i != j
-        i, j = i[keep], j[keep]
+        i, j = np.nonzero(~np.eye(n, dtype=bool))
     else:
         rng = substream(seed, "pair-sample")
         want_same = min(int(round(balance * max_pairs)), same_universe)
@@ -181,7 +180,8 @@ def train_verifier(pairs: PairDataset, cfg: TrainConfig,
 
 def same_class_prob(verifier: DenseClassifier, x_a: np.ndarray,
                     x_b: np.ndarray) -> float:
-    """The net's same-class probability for the ordered pair (a, b)."""
+    """The net's same-class probability for the ordered pair (a, b); a
+    one-pair view of :func:`same_class_prob_batch`."""
     pair = np.concatenate([np.asarray(x_a, float), np.asarray(x_b, float)])
     return float(predict_proba(verifier, pair)[1])
 
@@ -194,15 +194,19 @@ def same_class_prob_batch(verifier: DenseClassifier, x_a: np.ndarray,
 
 def discrepancy(model: DenseClassifier, verifier: DenseClassifier,
                 x: np.ndarray, x_tilde: np.ndarray) -> float:
-    """|V(x, x_tilde) - sum_i M_i(x) M_i(x_tilde)|, in [0, 1]."""
-    agreement = float(predict_proba(model, x) @ predict_proba(model, x_tilde))
-    return abs(same_class_prob(verifier, x, x_tilde) - agreement)
+    """|V(x, x_tilde) - sum_i M_i(x) M_i(x_tilde)|, in [0, 1]; a one-pair
+    view of :func:`_discrepancy_batch`."""
+    pair = np.stack([_row(model, x), _row(model, x_tilde)])
+    return float(_discrepancy_batch(model, verifier, pair[:1], pair[1:])[0])
 
 
 def _discrepancy_batch(model, verifier, x_a, x_b) -> np.ndarray:
-    probs_a = predict_proba_batch(model, x_a)
-    probs_b = predict_proba_batch(model, x_b)
-    agreement = np.sum(probs_a * probs_b, axis=1)
+    """The discrepancy of every pair (x_a[i], x_b[i]).  M runs once over the
+    stacked [x_a; x_b] rows and the agreement is a per-row dot, so a pair's
+    value is the same in any batch, a batch of one included."""
+    n = len(x_a)
+    probs = predict_proba_batch(model, np.vstack([x_a, x_b]))
+    agreement = (probs[:n, None, :] @ probs[n:, :, None])[:, 0, 0]
     return np.abs(same_class_prob_batch(verifier, x_a, x_b) - agreement)
 
 
@@ -254,10 +258,7 @@ def calibrate_gamma(model: DenseClassifier, verifier: DenseClassifier,
         )
     rng = substream(seed, "gamma-pairs")
     if available >= diff_universe:
-        i = np.repeat(np.arange(n), n)
-        j = np.tile(np.arange(n), n)
-        keep = (i != j) & (labels[i] != labels[j])
-        i, j = i[keep], j[keep]
+        i, j = np.nonzero(labels[:, None] != labels[None, :])
     else:
         codes = _sample_codes(rng, n, available,
                               lambda a, b: labels[a] != labels[b])
@@ -302,17 +303,26 @@ def load_calibration(path) -> GammaCalibration:
     if kind != "discrepancy-calibration":
         raise ValueError(f"calibration file {path} has unknown kind")
     try:
-        return GammaCalibration(
-            gamma=float(payload["gamma"]),
-            rate=float(payload["rate"]),
-            sample_size=int(payload["sample_size"]),
-            seed=int(payload["seed"]),
+        numbers = [payload[k] for k in ("gamma", "rate", "sample_size", "seed")]
+        cal = GammaCalibration(
+            gamma=float(numbers[0]),
+            rate=float(numbers[1]),
+            sample_size=int(numbers[2]),
+            seed=int(numbers[3]),
             source_split=str(payload["source_split"]),
             source_hash=str(payload["source_hash"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"calibration file {path} is malformed: {exc!r}"
                          ) from None
+    problems = [text for bad, text in (
+        (not _numbers_only(numbers), "a value that must be a number is not one"),
+        (not math.isfinite(cal.gamma), "gamma is not finite"),
+        (not 0.0 <= cal.rate <= 1.0, "rate lies outside [0, 1]"),
+        (cal.sample_size < 1, "sample_size is not positive")) if bad]
+    if problems:
+        raise ValueError(f"calibration file {path} is malformed: {problems[0]}")
+    return cal
 
 
 @dataclass(frozen=True)

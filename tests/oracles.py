@@ -7,7 +7,9 @@ differences, and the probability-bound arithmetic is redone in mpmath.
 The per-row descent oracle is the one-vector-at-a-time search that the
 batched kernel replaced, built only from the scalar layer functions; the
 per-row attack oracle is the one-point-at-a-time l2 attack that the
-row-batched attack replaced.
+row-batched attack replaced.  Both run the network through the single-row
+forward and backward passes below, which the row-exact batched layers
+replaced, so they never check a batched layer against a view of itself.
 """
 from __future__ import annotations
 
@@ -26,12 +28,7 @@ from tapgen.actionability import (
     penalty_coherence,
 )
 from tapgen.baselines import BaselineResult
-from tapgen.netcore import (
-    forward_cache,
-    input_gradient,
-    logit_input_gradient,
-    predict_proba,
-)
+from tapgen.netcore import ForwardCache
 from tapgen.perturb import OptConfig, TapCandidate
 from tapgen.probspace import (
     DivergenceSpec,
@@ -204,6 +201,40 @@ def random_simplex_point(rng: np.random.Generator, k: int) -> np.ndarray:
     return rng.dirichlet(np.ones(k))
 
 
+def row_forward(model, x: np.ndarray) -> ForwardCache:
+    """One forward pass on one vector: a (1, d) product per layer."""
+    x_std = (np.asarray(x, dtype=float) - model.mean) / model.std
+    pre, act = [], [x_std]
+    h = x_std[None, :]
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        z = h @ w.T + b
+        h = np.maximum(z, 0.0)
+        pre.append(z[0])
+        act.append(h[0])
+    logits = (h @ model.weights[-1].T + model.biases[-1])[0]
+    scaled = logits / model.temperature
+    e = np.exp(scaled - scaled.max())
+    return ForwardCache(x_std, pre, act, logits, e / e.sum())
+
+
+def row_backward(model, cache: ForwardCache, g_logits: np.ndarray
+                 ) -> np.ndarray:
+    """J^T g_logits for the logits of one row, in raw feature units."""
+    g = model.weights[-1].T @ g_logits
+    for w, pre in zip(reversed(model.weights[:-1]), reversed(cache.pre)):
+        g = g * (pre > 0.0)
+        g = w.T @ g
+    return g / model.std
+
+
+def row_input_gradient(model, cache: ForwardCache, upstream: np.ndarray
+                       ) -> np.ndarray:
+    """J^T upstream for the probabilities of one row."""
+    s = cache.probs
+    return row_backward(model, cache,
+                        s * (upstream - float(s @ upstream)) / model.temperature)
+
+
 def per_row_candidate(model, schema, cm, target: TargetSet, x: np.ndarray,
                       oc: OptConfig, div: DivergenceSpec | None = None,
                       penalty: PenaltyConfig | None = None
@@ -225,10 +256,10 @@ def per_row_candidate(model, schema, cm, target: TargetSet, x: np.ndarray,
 
     def evaluate(u_now, lam_eff):
         x_now = u_now * std + mean
-        cache = forward_cache(model, x_now)
+        cache = row_forward(model, x_now)
         dist = target_distance(cache.probs, target, div)
-        grad_dist = input_gradient(model, x_now, target_distance_grad(
-            cache.probs, target, div), cache)
+        grad_dist = row_input_gradient(model, cache, target_distance_grad(
+            cache.probs, target, div))
         box_val, box_grad = penalty_actionable(x_now, schema, penalty, (lo, hi))
         grp_val, grp_grad = penalty_coherence(x_now, schema, penalty)
         value = dist + oc.lam * cost(x, x_now, cm, schema) + box_val + grp_val
@@ -271,7 +302,8 @@ def per_row_candidate(model, schema, cm, target: TargetSet, x: np.ndarray,
     moved[dust] = u_origin[dust]
     x_tilde = cond(moved * std + mean, schema, (lo, hi))
     epsilon = float(cost(x, x_tilde, cm, schema))
-    delta = float(target_distance(predict_proba(model, x_tilde), target, div))
+    delta = float(target_distance(row_forward(model, x_tilde).probs, target,
+                                  div))
     objective = delta if epsilon == 0.0 else delta + oc.lam * epsilon
     return TapCandidate(x=x.copy(), x_tilde=x_tilde, lam=oc.lam,
                         epsilon=epsilon, delta=delta, objective=objective,
@@ -292,7 +324,8 @@ def _adam_row(u, grad, m, v, t, lr):
 
 def _priced(model, schema, cm, target, div, x, x_tilde, lam, iterations):
     epsilon = float(cost(x, x_tilde, cm, schema))
-    delta = float(target_distance(predict_proba(model, x_tilde), target, div))
+    delta = float(target_distance(row_forward(model, x_tilde).probs, target,
+                                  div))
     objective = delta if epsilon == 0.0 else delta + lam * epsilon
     return TapCandidate(x=x.copy(), x_tilde=np.array(x_tilde), lam=float(lam),
                         epsilon=epsilon, delta=delta, objective=objective,
@@ -313,7 +346,7 @@ def per_row_cw(model, schema, cm, target: TargetSet, x: np.ndarray,
     """
     div = div if div is not None else kl_divergence()
     x = np.asarray(x, dtype=float)
-    if int(np.argmax(predict_proba(model, x))) == attack_class:
+    if int(np.argmax(row_forward(model, x).probs)) == attack_class:
         raise ValueError("point is already classified as the attack class")
     c_lo, c_hi = float(c_range[0]), float(c_range[1])
     lo, hi = schema.lower_bounds, schema.upper_bounds
@@ -328,7 +361,7 @@ def per_row_cw(model, schema, cm, target: TargetSet, x: np.ndarray,
         for t in range(1, max_iters + 1):
             th = np.tanh(w)
             x_now = center + half * th
-            cache = forward_cache(model, x_now)
+            cache = row_forward(model, x_now)
             j = others[int(np.argmax(cache.logits[others]))]
             margin = float(cache.logits[j] - cache.logits[attack_class])
             if margin < 0.0:
@@ -340,8 +373,7 @@ def per_row_cw(model, schema, cm, target: TargetSet, x: np.ndarray,
                 upstream = np.zeros(model.num_classes)
                 upstream[j] = 1.0
                 upstream[attack_class] = -1.0
-                grad_x = grad_x + c * logit_input_gradient(model, x_now,
-                                                           upstream, cache)
+                grad_x = grad_x + c * row_backward(model, cache, upstream)
             w, m, v = _adam_row(w, grad_x * half * (1.0 - th * th), m, v, t,
                                 lr)
         if best_x is None:

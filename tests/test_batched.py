@@ -2,7 +2,9 @@
 
 Every batched layer must agree row for row with the scalar function it
 stands in for during descent, for a batch of one as for a permuted batch.
-The batched frontier sweep must agree with the per-row search it replaced
+The network layers are checked against the single-row passes they
+replaced (``oracles.row_forward``, ``oracles.row_input_gradient``).  The
+batched frontier sweep must agree with the per-row search it replaced
 (``oracles.per_row_candidate``) on the full-size benchmark problem, and the
 row-batched l2 attack bit for bit with the per-point attack it replaced
 (``oracles.per_row_cw``).  Every ``_batch`` twin must return, slot by
@@ -13,7 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import per_row_candidate, per_row_cw, random_target_set
+from oracles import (
+    per_row_candidate,
+    per_row_cw,
+    random_target_set,
+    row_forward,
+    row_input_gradient,
+)
 from tapgen.actionability import (
     CostModel,
     Feature,
@@ -38,9 +46,7 @@ from tapgen.baselines import (
 from tapgen.bench import METHODS, benchmark_problem
 from tapgen.netcore import (
     DenseClassifier,
-    forward_cache,
     forward_cache_batch,
-    input_gradient,
     input_gradient_batch,
 )
 from tapgen.perturb import (
@@ -179,10 +185,10 @@ def check_net_rows(model, x, upstream):
     cache = forward_cache_batch(model, x)
     grad = input_gradient_batch(model, cache, upstream)
     for i, row in enumerate(x):
-        single = forward_cache(model, row)
+        single = row_forward(model, row)
         np.testing.assert_allclose(cache.probs[i], single.probs, **TOL)
         np.testing.assert_allclose(
-            grad[i], input_gradient(model, row, upstream[i], single), **TOL)
+            grad[i], row_input_gradient(model, single, upstream[i]), **TOL)
     return cache.probs, grad
 
 

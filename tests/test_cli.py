@@ -1,5 +1,6 @@
 """Command surface: artifacts, exit codes, manifests, byte-exact replay."""
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -18,7 +19,12 @@ from tapgen.cli import (
     replay_manifest,
     write_candidate,
 )
-from tapgen.config import default_synthetic_config, load_config, load_dataset
+from tapgen.config import (
+    SchemaMismatchError,
+    default_synthetic_config,
+    load_config,
+    load_dataset,
+)
 from tapgen.netcore import load_model, predict_proba_batch
 from tapgen.perturb import FRONTIER_COLUMNS, TapCandidate
 from tapgen.verify import pac_gap_terms
@@ -65,6 +71,12 @@ def ws(tmp_path_factory):
         "calibration": str(art / "calibration.json"),
         "idx": idx,
     }
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
 
 
 def run(ws, argv, out_name):
@@ -402,6 +414,71 @@ class TestExitCodes:
                    "--calibration", ws["calibration"],
                    str(bad), "--out", str(tmp_path)])
         assert rc == EXIT_SCHEMA
+
+    def test_non_object_candidate_is_3(self, ws, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        rc = main(["verify", "--config", ws["config"],
+                   "--model", ws["model"], "--verifier", ws["verifier"],
+                   "--calibration", ws["calibration"],
+                   str(bad), "--out", str(tmp_path)])
+        assert rc == EXIT_SCHEMA
+        assert "unknown kind" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "{not json"],
+                             ids=["list", "invalid"])
+    def test_replay_of_malformed_manifest_is_schema_error(self, tmp_path,
+                                                         text):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        with pytest.raises(SchemaMismatchError):
+            replay_manifest(path, tmp_path / "out")
+
+    @pytest.mark.parametrize("key,value", [
+        ("gamma", math.nan), ("gamma", math.inf), ("gamma", True),
+        ("rate", 7), ("rate", -0.1), ("sample_size", 0),
+        ("sample_size", math.inf), ("seed", False)])
+    def test_calibration_values_checked_is_3(self, ws, tmp_path, capsys, key,
+                                             value):
+        payload = json.loads(Path(ws["calibration"]).read_text())
+        payload[key] = value
+        bad = tmp_path / "calibration.json"
+        bad.write_text(json.dumps(payload))
+        cfg = load_config(ws["config"])
+        point = load_dataset(cfg)[0][ws["idx"]]
+        cand = tmp_path / "noop.json"
+        write_candidate(cand, cfg.schema, TapCandidate(
+            x=point, x_tilde=point, lam=1.0, epsilon=0.0, delta=0.0,
+            objective=0.0, iterations=0), "tap", 0)
+        rc = main(["verify", "--config", ws["config"],
+                   "--model", ws["model"], "--verifier", ws["verifier"],
+                   "--calibration", str(bad), str(cand),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_SCHEMA
+        assert "malformed" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p.update(metadata=[1]),
+        lambda p: p.update(seed=True),
+        lambda p: p.update(seed=math.inf),
+        lambda p: p["biases"][0].__setitem__(0, True),
+        lambda p: p["weights"][0][0].__setitem__(0, "1.5"),
+        lambda p: p["metadata"]["split_indices"].update(test=[-5]),
+        lambda p: p["metadata"]["split_indices"].update(test=["a"]),
+        lambda p: p["metadata"]["split_indices"].update(test=[True]),
+        lambda p: p["metadata"].update(split_indices=[0, 1])],
+        ids=["metadata-list", "seed-bool", "seed-inf", "bias-bool",
+             "weight-string", "split-negative", "split-string", "split-bool",
+             "splits-list"])
+    def test_model_values_checked_is_3(self, ws, tmp_path, capsys, edit):
+        payload = json.loads(Path(ws["model"]).read_text())
+        edit(payload)
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(payload))
+        rc = main(["ece", "--config", ws["config"], "--model", str(bad),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_SCHEMA
+        assert "model" in one_error_line(capsys)
 
     def test_unreachable_budget_is_5(self, ws, tmp_path, capsys):
         doc = small_doc()

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import central_diff_grad
+from oracles import central_diff_grad, row_forward
 from tapgen.netcore import (
     DenseClassifier,
     TrainConfig,
@@ -113,10 +113,11 @@ class TestPredictions:
                            [1 / 3] * 3, atol=0)
 
     def test_batch_matches_single(self, blob_model):
+        # row-exact: each batch row is bit for bit the single-row pass
         model, x, _ = blob_model
         batch = predict_proba_batch(model, x[:10])
         for i in range(10):
-            assert np.allclose(batch[i], predict_proba(model, x[i]), atol=1e-15)
+            assert np.array_equal(batch[i], row_forward(model, x[i]).probs)
 
     def test_dimension_mismatch(self, blob_model):
         model, _, _ = blob_model

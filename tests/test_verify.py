@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tapgen.verify as tv
+from oracles import row_forward
 from tapgen.netcore import DenseClassifier, TrainConfig
 from tapgen.synthetic import gap_experiment_spec, sample_synthetic
 from tapgen.verify import (
@@ -151,8 +152,8 @@ class TestVerifierTraining:
         x, _ = separated
         got = same_class_prob_batch(trained_verifier, x[:6], x[6:12])
         for i in range(6):
-            assert got[i] == pytest.approx(
-                same_class_prob(trained_verifier, x[i], x[6 + i]), abs=1e-12)
+            pair = np.concatenate([x[i], x[6 + i]])
+            assert got[i] == row_forward(trained_verifier, pair).probs[1]
 
     def test_comes_out_temperature_fitted(self, trained_verifier):
         # confidence skew in the pair net shifts every genuine-pair
@@ -292,6 +293,48 @@ class TestCalibration:
                                  seed=0, source_split="test", source_hash="x")
         assert verify_pair(point_model, trained_verifier, loose, a, b).accepted
         assert not verify_pair(point_model, trained_verifier, tight, a, b).accepted
+
+
+class TestOneDiscrepancyFormula:
+    """Verdicts and the calibration share one discrepancy formula, whose
+    value for a pair does not depend on the batch the pair sits in."""
+
+    def test_verdict_does_not_depend_on_its_batch(self, bench_data,
+                                                  bench_model, bench_verifier):
+        _, x, y = bench_data
+        test = np.asarray(bench_model.metadata["split_indices"]["test"])
+        rng = np.random.default_rng(0)
+        i, j = rng.choice(test, 600), rng.choice(test, 600)
+        keep = y[i] != y[j]
+        i, j = i[keep][:200], j[keep][:200]
+        assert i.size == 200
+
+        def batch(rows):
+            return tv._discrepancy_batch(bench_model, bench_verifier,
+                                         x[i[rows]], x[j[rows]])
+
+        whole = batch(np.arange(200))
+        perm = rng.permutation(200)
+        assert np.array_equal(batch(perm), whole[perm])
+        for k in range(200):
+            one = discrepancy(bench_model, bench_verifier, x[i[k]], x[j[k]])
+            assert one == whole[k] == batch([k])[0]
+
+    def test_gamma_is_a_value_the_verdict_path_gives(self, bench_data,
+                                                     bench_model,
+                                                     bench_verifier):
+        _, x, y = bench_data
+        rows = np.asarray(bench_model.metadata["split_indices"]["test"][:40])
+        xc, yc = x[rows], y[rows]
+        n = rows.size
+        cal = calibrate_gamma(bench_model, bench_verifier, xc, yc, rate=0.10,
+                              num_pairs=n * (n - 1), seed=0)
+        a, b = np.nonzero(yc[:, None] != yc[None, :])
+        values = np.array([discrepancy(bench_model, bench_verifier, xc[p],
+                                       xc[q]) for p, q in zip(a, b)])
+        assert cal.sample_size == values.size >= 100
+        assert np.any(values == cal.gamma)
+        assert np.sum(values > cal.gamma) <= math.ceil(cal.rate * values.size)
 
 
 class TestPacGapTerms:
