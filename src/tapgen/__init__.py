@@ -77,6 +77,7 @@ from .verify import (
     pac_gap_terms,
     train_verifier,
     verify_pair,
+    verify_pairs,
 )
 
 __version__ = "0.1.0"
@@ -100,6 +101,6 @@ __all__ = [
     "target_distance", "target_distance_grad",
     "SyntheticSpec", "sample_synthetic", "true_posterior",
     "GammaCalibration", "Verdict", "calibrate_gamma", "discrepancy",
-    "pac_gap_terms", "train_verifier", "verify_pair",
+    "pac_gap_terms", "train_verifier", "verify_pair", "verify_pairs",
     "__version__",
 ]

@@ -246,23 +246,10 @@ def _resolve_group(schema: FeatureSchema, term: TransitionTerm) -> list[int]:
 
 def cost(x: np.ndarray, x_tilde: np.ndarray, cm: CostModel,
          schema: FeatureSchema) -> float:
-    """Price of moving the individual from x to x_tilde, in raw units."""
-    x = schema.check_vector(x)
-    x_tilde = schema.check_vector(x_tilde)
-    total = 0.0
-    for term in cm.quadratic:
-        i = schema.index(term.feature)
-        total += term.weight * (x_tilde[i] - x[i]) ** 2
-    for term in cm.linear:
-        i = schema.index(term.feature)
-        total += term.weight * (x_tilde[i] - x[i])
-    for term in cm.transitions:
-        idx = _resolve_group(schema, term)
-        total += float(x[idx] @ term.matrix @ x_tilde[idx])
-    for term in cm.triggers:
-        i = schema.index(term.feature)
-        total += term.cost_on * max(0.0, x_tilde[i] - x[i])
-    return total
+    """Price of moving the individual from x to x_tilde, in raw units; the
+    one-row view of :func:`cost_batch`."""
+    x, x_tilde = schema.check_vector(x), schema.check_vector(x_tilde)
+    return float(cost_batch(x, x_tilde[None, :], cm, schema)[0][0])
 
 
 def cost_grad(x: np.ndarray, x_tilde: np.ndarray, cm: CostModel,
@@ -275,8 +262,9 @@ def cost_grad(x: np.ndarray, x_tilde: np.ndarray, cm: CostModel,
 
 def cost_batch(x: np.ndarray, x_tilde: np.ndarray, cm: CostModel,
                schema: FeatureSchema) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`cost` and its gradient for every row of an (n, d) x_tilde;
-    the terms are gathered once per call into dense per-feature weights.
+    """The price of every row of an (n, d) x_tilde in raw units, and its
+    gradient with respect to that row; the terms are gathered once per
+    call into dense per-feature weights.
     The origin x is an (n, d) matrix of per-row origins, or one (d,) vector
     broadcast to every row; each row is priced alone."""
     d = len(schema.features)

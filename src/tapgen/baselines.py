@@ -21,11 +21,11 @@ from .netcore import (
     forward_cache_batch,
     input_gradient_batch,
     logit_input_gradient_batch,
-    predict_proba,
+    predict_proba_batch,
 )
 from .perturb import (TapCandidate, _adam_step, _descend, _individuals, _one,
-                      _package)
-from .probspace import DivergenceSpec, TargetSet, kl_divergence
+                      _price)
+from .probspace import DivergenceSpec, TargetSet
 
 __all__ = [
     "BaselineResult",
@@ -87,7 +87,6 @@ def wachter_counterfactual_batch(model: DenseClassifier,
                                  div: DivergenceSpec | None = None) -> list:
     """:func:`wachter_counterfactual` for every row of an (m, d) matrix in
     one descent: one BaselineResult per individual, in order."""
-    div = div if div is not None else kl_divergence()
     xs = _individuals(model, schema, target, xs)
     out: list = [None] * len(xs)
     if desired_class is None:
@@ -104,20 +103,14 @@ def wachter_counterfactual_batch(model: DenseClassifier,
     lambdas = sorted(float(v) for v in lambdas)
     if not lambdas or lambdas[0] <= 0.0:
         raise ValueError("lambdas must be positive")
+    scale = mad_weights(train_x)
 
-    labels = np.array([np.argmax(predict_proba(model, x)) for x in xs], int)
-    for i in np.flatnonzero(labels == desired_class):
-        noop = _package(model, schema, cm, target, div, xs[i], xs[i],
-                        lambdas[0], 0)
-        out[i] = BaselineResult(candidate=noop, flipped=True, trials=(noop,))
+    labels = np.argmax(predict_proba_batch(model, xs), axis=1)
+    stay = np.flatnonzero(labels == desired_class)
     live = np.flatnonzero(labels != desired_class)
-    if live.size == 0:
-        return out
-
     mean, std = model.mean, model.std
     x = xs[np.repeat(live, len(lambdas))]
     lo, hi = schema.box_for(x)
-    scale = mad_weights(train_x)
     lams = np.tile(lambdas, len(live))
 
     def evaluate(rows, u, cost_on):
@@ -139,21 +132,27 @@ def wachter_counterfactual_batch(model: DenseClassifier,
     u_best = _descend(evaluate, (x - mean) / std, max(max_iters - 1, 0), lr,
                       max_iters // 2,
                       bounds=((lo - mean) / std, (hi - mean) / std))[0]
+    x_tilde = np.reshape([cond(u * std + mean, schema, (lo[r], hi[r]))
+                          for r, u in enumerate(u_best)], (-1, xs.shape[1]))
 
+    # one pricing call for the phase: the stay-put points, then every trial
+    priced = _price(model, schema, cm, target, div, np.vstack([xs[stay], x]),
+                    np.vstack([xs[stay], x_tilde]),
+                    np.r_[np.full(len(stay), lambdas[0]), lams],
+                    np.r_[np.zeros(len(stay), int), np.full(len(x), max_iters)])
+    for i, noop in zip(stay, priced):
+        out[i] = BaselineResult(candidate=noop, flipped=True, trials=(noop,))
+    trials = priced[len(stay):]
+    probs = predict_proba_batch(model, x_tilde)
+    flipped = np.argmax(probs, axis=1) == desired_class
     for k, i in enumerate(live):
-        trials, probs = [], []
-        for r, lam in zip(range(k * len(lambdas), len(x)), lambdas):
-            x_tilde = cond(u_best[r] * std + mean, schema, (lo[r], hi[r]))
-            trials.append(_package(model, schema, cm, target, div, xs[i],
-                                   x_tilde, lam, max_iters))
-            probs.append(predict_proba(model, x_tilde))
-        flips = [c for c, p in zip(trials, probs)
-                 if int(np.argmax(p)) == desired_class]
+        rows = slice(k * len(lambdas), (k + 1) * len(lambdas))
+        flips = [c for c, f in zip(trials[rows], flipped[rows]) if f]
         # the cheapest flip, else the trial closest to flipping
-        chosen = (max(flips, key=lambda c: c.lam) if flips else trials[max(
-            range(len(trials)), key=lambda r: probs[r][desired_class])])
+        chosen = (max(flips, key=lambda c: c.lam) if flips else trials[rows][
+            int(np.argmax(probs[rows, desired_class]))])
         out[i] = BaselineResult(candidate=chosen, flipped=bool(flips),
-                                trials=tuple(trials))
+                                trials=tuple(trials[rows]))
     return out
 
 
@@ -188,7 +187,6 @@ def cw_l2_batch(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
     attacks all individuals as rows of one descent, each row with its own
     c bracket and best point.  One BaselineResult per individual, in order,
     or the ValueError for a point already in the attack class."""
-    div = div if div is not None else kl_divergence()
     xs = _individuals(model, schema, target, xs)
     if not 0 <= attack_class < model.num_classes:
         raise ValueError("attack_class out of range")
@@ -196,7 +194,7 @@ def cw_l2_batch(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
         raise ValueError("need at least one bisection step")
     if not (0.0 < float(c_range[0]) < float(c_range[1])):
         raise ValueError("c_range must satisfy 0 < lo < hi")
-    labels = np.array([np.argmax(predict_proba(model, x)) for x in xs], int)
+    labels = np.argmax(predict_proba_batch(model, xs), axis=1)
     out = [ValueError("point is already classified as the attack class")
            if label == attack_class else None for label in labels]
     live = np.flatnonzero(labels != attack_class)
@@ -210,9 +208,8 @@ def cw_l2_batch(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
         c = np.sqrt(c_lo * c_hi)
         l2, x_adv = _cw_attack(model, schema, x, attack_class, c, lr,
                                max_iters, kappa)
-        trials.append([_package(model, schema, cm, target, div, x[r],
-                                x_adv[r], float(c[r]), max_iters)
-                       for r in range(len(live))])
+        trials.append(_price(model, schema, cm, target, div, x, x_adv, c,
+                             max_iters))
         better = l2 < best_l2
         best_l2[better], best[better] = l2[better], step
         flipped = np.isfinite(l2)
@@ -220,8 +217,8 @@ def cw_l2_batch(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
     for r, i in enumerate(live):
         # every step failed without a flip, so the last one is the fallback
         steps = tuple(trial[r] for trial in trials)
-        out[i] = BaselineResult(candidate=steps[best[r]], flipped=best[r] >= 0,
-                                trials=steps)
+        out[i] = BaselineResult(candidate=steps[best[r]],
+                                flipped=bool(best[r] >= 0), trials=steps)
     return out
 
 

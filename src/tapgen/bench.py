@@ -30,6 +30,7 @@ from .perturb import (
     CandidateRecord,
     OptConfig,
     TapCandidate,
+    _verified,
     frontier_sweep_batch,
     repair_on_rejection_batch,
     write_frontier_csv,
@@ -42,7 +43,7 @@ from .synthetic import (
     sample_synthetic,
     true_posterior,
 )
-from .verify import build_pair_dataset, calibrate_gamma, train_verifier, verify_pair
+from .verify import build_pair_dataset, calibrate_gamma, train_verifier
 
 __all__ = [
     "BenchmarkConfig",
@@ -236,16 +237,21 @@ def run_benchmark(cfg: BenchmarkConfig, out_dir=None) -> BenchmarkResult:
     oc = OptConfig(lam=1.0, max_iters=cfg.opt_iters, seed=cfg.seed)
     origins = x[individuals]
     everyone = range(len(individuals))
-    # each phase runs all individuals in one batched call; every record and
-    # failure message lands in its individual's log, so the output keeps
-    # the order individual, then tap, wachter, cw
+    # each phase searches and verifies for all individuals in one batched
+    # call each; records and failures land in their individual's log, so
+    # the output keeps the order individual, then tap, wachter, cw
     log = {m: [[] for _ in individuals] for m in METHODS}
 
-    def checked(i: int, method: str, cand) -> TapCandidate:
-        cand = cand.with_verdict(verify_pair(model, verifier, cal, cand.x,
-                                             np.asarray(cand.x_tilde)))
-        log[method][i].append(CandidateRecord(individuals[i], method, cand))
-        return cand
+    def checked(method: str, owned: dict) -> dict:
+        """Verify the candidates of every individual in one call and log
+        them; returns individual -> verified candidates."""
+        flat = iter(_verified(model, verifier, cal, [
+            c for cands in owned.values() for c in cands]))
+        done = {i: [next(flat) for _ in cands] for i, cands in owned.items()}
+        for i, cands in done.items():
+            log[method][i] += [CandidateRecord(individuals[i], method, c)
+                               for c in cands]
+        return done
 
     def succeeded(method: str, owners, results):
         """(i, result) per success; an exception is logged as a failure."""
@@ -256,12 +262,14 @@ def run_benchmark(cfg: BenchmarkConfig, out_dir=None) -> BenchmarkResult:
                 yield i, result
 
     if "tap" in cfg.methods:
-        rework: dict[int, TapCandidate] = {}
-        for i, sweep in succeeded("tap", everyone, frontier_sweep_batch(
-                model, schema, cm, target, origins, cfg.lambdas, oc)):
+        sweeps = dict(succeeded("tap", everyone, frontier_sweep_batch(
+            model, schema, cm, target, origins, cfg.lambdas, oc)))
+        for i, sweep in sweeps.items():
             log["tap"][i].extend(f"lam={lam:g}: {message}"
                                  for lam, message in sweep.failures)
-            cands = [checked(i, "tap", cand) for cand in sweep.candidates]
+        rework: dict[int, TapCandidate] = {}
+        for i, cands in checked("tap", {i: sweep.candidates for i, sweep
+                                        in sweeps.items()}).items():
             reachers = [c for c in cands if c.delta <= 1e-9 and not c.is_noop]
             if (cfg.repair and reachers
                     and not any(c.verified for c in reachers)):
@@ -276,20 +284,19 @@ def run_benchmark(cfg: BenchmarkConfig, out_dir=None) -> BenchmarkResult:
             log["tap"][i].append(CandidateRecord(individuals[i], "tap",
                                                  outcome.candidate))
     if "wachter" in cfg.methods:
-        for i, result in succeeded("wachter", everyone,
-                                   wachter_counterfactual_batch(
-                                       model, schema, cm, target, origins,
-                                       x[train_idx])):
-            for cand in result.trials:
-                checked(i, "wachter", cand)
+        checked("wachter", {i: result.trials for i, result in succeeded(
+            "wachter", everyone, wachter_counterfactual_batch(
+                model, schema, cm, target, origins, x[train_idx]))})
     if "cw" in cfg.methods:
+        flips = {}
         for i, result in succeeded("cw", everyone, cw_l2_batch(
                 model, schema, cm, target, origins,
                 attack_class=target.desirable[0])):
             if result.flipped:
-                checked(i, "cw", result.candidate)
+                flips[i] = [result.candidate]
             else:
                 log["cw"][i].append("no successful attack")
+        checked("cw", flips)
     entries = [(ind_id, m, entry) for i, ind_id in enumerate(individuals)
                for m in METHODS for entry in log[m][i]]
     records = [entry for _, _, entry in entries if not isinstance(entry, str)]

@@ -45,6 +45,7 @@ from .netcore import (
 from .perturb import (
     CandidateRecord,
     TapCandidate,
+    _verified,
     generate_candidate,
     frontier_sweep,
     meet_budget,
@@ -225,12 +226,11 @@ def _split_rows(model: DenseClassifier, n: int, split: str) -> tuple[list[int], 
     return rows, split
 
 
-def _maybe_verdict(cand: TapCandidate, model, verifier, cal) -> TapCandidate:
+def _maybe_verdicts(cands, model, verifier, cal) -> list[TapCandidate]:
+    """The candidates, verified in one call when a verifier is loaded."""
     if verifier is None:
-        return cand
-    verdict = verify_pair(model, verifier, cal, np.asarray(cand.x),
-                          np.asarray(cand.x_tilde))
-    return cand.with_verdict(verdict)
+        return list(cands)
+    return _verified(model, verifier, cal, cands)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +500,7 @@ def _cmd_generate(args) -> int:
         cand = generate_candidate(model, cfg.schema, cfg.cost, cfg.target,
                                   x[idx], oc, div=div, penalty=cfg.penalty)
 
-    cand = _maybe_verdict(cand, model, verifier, cal)
+    [cand] = _maybe_verdicts([cand], model, verifier, cal)
     name = f"candidate_{idx}.json"
     write_candidate(out / name, cfg.schema, cand, "tap", idx)
     write_manifest(out, "generate", args, text, [name], cfg.seed)
@@ -522,7 +522,7 @@ def _cmd_sweep(args) -> int:
     sweep = frontier_sweep(model, cfg.schema, cfg.cost, cfg.target, x[idx],
                            lambdas, cfg.opt, div=cfg.divergence(),
                            penalty=cfg.penalty)
-    cands = [_maybe_verdict(c, model, verifier, cal) for c in sweep.candidates]
+    cands = _maybe_verdicts(sweep.candidates, model, verifier, cal)
     records = [CandidateRecord(idx, "tap", c) for c in cands]
     write_frontier_csv(out / "frontier.csv", records)
     write_manifest(out, "sweep", args, text, ["frontier.csv"], cfg.seed)
@@ -569,7 +569,7 @@ def _cmd_attack_cw(args) -> int:
     result = cw_l2(model, cfg.schema, cfg.cost, cfg.target, x[idx],
                    attack_class=cfg.target.desirable[0],
                    div=cfg.divergence())
-    cand = _maybe_verdict(result.candidate, model, verifier, cal)
+    [cand] = _maybe_verdicts([result.candidate], model, verifier, cal)
     name = f"cw_{idx}.json"
     write_candidate(out / name, cfg.schema, cand, "cw", idx)
     write_frontier_csv(out / "frontier.csv",
@@ -594,8 +594,9 @@ def _cmd_baseline_wachter(args) -> int:
     rows, _ = _split_rows(model, x.shape[0], "train")
     result = wachter_counterfactual(model, cfg.schema, cfg.cost, cfg.target,
                                     x[idx], x[rows], div=cfg.divergence())
-    cands = [_maybe_verdict(c, model, verifier, cal) for c in result.trials]
-    best = _maybe_verdict(result.candidate, model, verifier, cal)
+    cands = _maybe_verdicts(result.trials, model, verifier, cal)
+    # the chosen candidate is one of the trials: reuse its verdict
+    best = cands[result.trials.index(result.candidate)]
     name = f"wachter_{idx}.json"
     write_candidate(out / name, cfg.schema, best, "wachter", idx)
     write_frontier_csv(out / "frontier.csv",

@@ -39,11 +39,11 @@ from .actionability import (
     FeatureSchema,
     PenaltyConfig,
     cond,
-    cost,
     cost_batch,
     penalties_batch,
 )
-from .netcore import (
+# unused forward_cache stays: perfbench/selftest.py traces it in this module
+from .netcore import (  # noqa: F401
     DenseClassifier,
     forward_cache,
     forward_cache_batch,
@@ -53,10 +53,10 @@ from .probspace import (
     DivergenceSpec,
     TargetSet,
     kl_divergence,
-    target_distance,
     target_distance_batch,
 )
 from .rng import substream
+from .verify import verify_pairs
 
 __all__ = [
     "OptConfig",
@@ -161,10 +161,9 @@ def trivial_candidate(model: DenseClassifier, schema: FeatureSchema,
                       cm: CostModel, target: TargetSet, x: np.ndarray,
                       div: DivergenceSpec | None = None) -> TapCandidate:
     """The stay-put candidate: x_tilde = x, epsilon 0, lam infinite."""
-    div = div if div is not None else kl_divergence()
     _check_problem(model, schema, target)
-    x = schema.check_vector(x)
-    return _package(model, schema, cm, target, div, x, x, math.inf, 0)
+    x = schema.check_vector(x)[None, :]
+    return _price(model, schema, cm, target, div, x, x, math.inf, 0)[0]
 
 
 def _adam_step(u: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
@@ -230,16 +229,32 @@ def _descend(evaluate, u: np.ndarray, steps: int, lr: float, warmup: int,
     return best_u, iterations, diverged, history
 
 
-def _package(model, schema, cm, target, div, x, x_tilde, lam, iterations
-             ) -> TapCandidate:
-    """Price a final point: epsilon and delta recomputed at x_tilde."""
-    epsilon = float(cost(x, x_tilde, cm, schema))
-    delta = float(target_distance(forward_cache(model, x_tilde).probs,
-                                  target, div))
-    objective = delta if epsilon == 0.0 else delta + lam * epsilon
-    return TapCandidate(x=_frozen(x), x_tilde=_frozen(x_tilde), lam=float(lam),
-                        epsilon=epsilon, delta=delta, objective=objective,
-                        iterations=int(iterations))
+def _price(model, schema, cm, target, div, x, x_tilde, lams, iterations
+           ) -> list[TapCandidate]:
+    """Price the final points x_tilde[i], reached from the origins x[i]
+    (both (n, d)), with one call per batched layer: epsilon, and delta of
+    M's output (div None: KL).  lams and iterations: per row, or one."""
+    div = div if div is not None else kl_divergence()
+    delta = target_distance_batch(forward_cache_batch(model, x_tilde).probs,
+                                  target, div)[0]
+    epsilon = cost_batch(x, x_tilde, cm, schema)[0]
+    lams, iterations = np.broadcast_arrays(np.asarray(lams, dtype=float),
+                                           iterations, delta)[:2]
+    return [TapCandidate(
+        x=_frozen(x[i]), x_tilde=_frozen(x_tilde[i]), lam=float(lams[i]),
+        epsilon=float(eps), delta=float(dist), iterations=int(iterations[i]),
+        objective=float(dist if eps == 0.0 else dist + lams[i] * eps))
+        for i, (eps, dist) in enumerate(zip(epsilon, delta))]
+
+
+def _verified(model, verifier, cal, results) -> list:
+    """The TapCandidates among results with their verdicts, all pairs in
+    one batched call; anything else (a DivergedError) passes through."""
+    cands = [r for r in results if isinstance(r, TapCandidate)]
+    verdicts = iter(verify_pairs(model, verifier, cal, [c.x for c in cands],
+                                 [c.x_tilde for c in cands]))
+    return [r.with_verdict(next(verdicts)) if isinstance(r, TapCandidate)
+            else r for r in results]
 
 
 def _origin_error(schema: FeatureSchema, x: np.ndarray) -> ValueError | None:
@@ -328,23 +343,19 @@ def _search(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
     best_u, iterations, diverged, history = _descend(
         evaluate, (starts - mean) / std, oc.max_iters, oc.lr,
         oc.max_iters // 2, oc.tol, oc.patience)
-    results = []
-    for i, lam in enumerate(lams):
-        t = int(diverged[i])
-        if t >= 0:
-            message = ("objective not finite at the starting point" if t == 0
-                       else f"objective diverged at iteration {t} "
-                            f"(lam={lam:g})")
-            results.append(DivergedError(message, history[:t + 1, i].tolist()))
-            continue
-        # coordinates that barely moved snap back exactly before rounding
-        moved = best_u[i].copy()
-        dust = np.abs(moved - u_origin[i]) < oc.snap_tol
-        moved[dust] = u_origin[i][dust]
-        x_tilde = cond(moved * std + mean, schema, (lo[i], hi[i]))
-        results.append(_package(model, schema, cm, target, div, x[i],
-                                x_tilde, lam, iterations[i]))
-    return results
+    kept = np.flatnonzero(diverged < 0)
+    # coordinates that barely moved snap back exactly before rounding
+    moved = np.where(np.abs(best_u[kept] - u_origin[kept]) < oc.snap_tol,
+                     u_origin[kept], best_u[kept])
+    x_tilde = np.reshape([cond(row * std + mean, schema, (lo[i], hi[i]))
+                          for i, row in zip(kept, moved)], (-1, x.shape[1]))
+    priced = iter(_price(model, schema, cm, target, div, x[kept], x_tilde,
+                         lams[kept], iterations[kept]))
+    return [next(priced) if t < 0 else DivergedError(
+                "objective not finite at the starting point" if t == 0
+                else f"objective diverged at iteration {t} (lam={lam:g})",
+                history[:t + 1, i].tolist())
+            for i, (t, lam) in enumerate(zip(diverged, lams))]
 
 
 def generate_candidate(model: DenseClassifier, schema: FeatureSchema,
@@ -456,15 +467,15 @@ def frontier_sweep_batch(model: DenseClassifier, schema: FeatureSchema,
     good = [i for i, err in enumerate(out) if err is None]
     results = _search(model, schema, cm, target, xs[good], lams * len(good),
                       oc, div, penalty)
+    # the stay-put candidates of every individual, priced in one call
+    noops = (_price(model, schema, cm, target, div, xs[good], xs[good],
+                    math.inf, 0) if include_noop else [])
     for k, i in enumerate(good):
         chunk = results[k * len(lams):(k + 1) * len(lams)]
-        candidates = [r for r in chunk if isinstance(r, TapCandidate)]
+        candidates = sorted([r for r in chunk if isinstance(r, TapCandidate)]
+                            + noops[k:k + 1], key=lambda c: (c.epsilon, c.delta))
         failures = [(lam, str(r)) for lam, r in zip(lams, chunk)
                     if isinstance(r, DivergedError)]
-        if include_noop:
-            candidates.append(trivial_candidate(model, schema, cm, target,
-                                                xs[i], div))
-        candidates.sort(key=lambda c: (c.epsilon, c.delta))
         out[i] = SweepResult(tuple(candidates), tuple(failures))
     return out
 
@@ -529,8 +540,6 @@ def repair_on_rejection_batch(model: DenseClassifier, verifier, cal,
     one descent, ocs[i] being candidate i's OptConfig (they may differ only
     in lam): one RepairOutcome per candidate, in order, or the ValueError
     its origin raised."""
-    from .verify import verify_pair
-
     for strategy in strategies:
         if strategy not in ("decrease_lambda", "shrink_target", "random_restart"):
             raise ValueError(f"unknown repair strategy {strategy!r}")
@@ -564,6 +573,9 @@ def repair_on_rejection_batch(model: DenseClassifier, verifier, cal,
             starts.append(start)
     results = _search(model, schema, cm, target, xs[good], lams, ocs[0], div,
                       penalty, starts=np.array(starts), targets=aims * len(good))
+    # every attempt is verified in one call; the walk below still stops at
+    # the first accept in strategy order
+    results = _verified(model, verifier, cal, results)
     for k, i in enumerate(good):
         attempts: list[RepairAttempt] = []
         for (strategy, a), cand in zip(
@@ -571,8 +583,6 @@ def repair_on_rejection_batch(model: DenseClassifier, verifier, cal,
             if isinstance(cand, DivergedError):
                 attempts.append(RepairAttempt(strategy, a, None, str(cand)))
                 continue
-            cand = cand.with_verdict(
-                verify_pair(model, verifier, cal, xs[i], cand.x_tilde))
             attempts.append(RepairAttempt(strategy, a, cand))
             if cand.verified:
                 out[i] = RepairOutcome(cand, True, strategy, tuple(attempts))

@@ -255,31 +255,12 @@ def classify_region(y, t: TargetSet) -> str:
     return "D"
 
 
-def _mass_term(div: DivergenceSpec, budget: float, mass: float) -> float:
-    """budget * f(mass / budget) with the budget -> 0 limit convention."""
-    if budget <= 0.0:
-        # lim c->0 of c f(s/c) is s * lim f(t)/t, infinite for any strictly
-        # convex f with superlinear growth (both built-ins) unless s = 0.
-        return 0.0 if mass <= 0.0 else math.inf
-    return budget * div.f(mass / budget)
-
-
 def target_distance(y, t: TargetSet, div: DivergenceSpec) -> float:
-    """min over z in t of D(y || z), by the four-region closed form."""
-    s_w, s_u = t.masses(y)
-    p, q = t.p, t.q
-    region = classify_region(y, t)
-    if region == "A":
-        return 0.0
-    if region == "B":
-        return _mass_term(div, p, s_w) + _mass_term(div, 1.0 - p, 1.0 - s_w)
-    if region == "C":
-        return _mass_term(div, q, s_u) + _mass_term(div, 1.0 - q, 1.0 - s_u)
-    return (
-        _mass_term(div, p, s_w)
-        + _mass_term(div, q, s_u)
-        + _mass_term(div, 1.0 - p - q, 1.0 - s_w - s_u)
-    )
+    """min over z in t of D(y || z), by the four-region closed form; the
+    one-row view of :func:`target_distance_batch`."""
+    values = _vec(y)
+    t.masses(values)
+    return float(target_distance_batch(values[None, :], t, div)[0][0])
 
 
 def target_distance_grad(y, t: TargetSet, div: DivergenceSpec) -> np.ndarray:
@@ -308,7 +289,8 @@ def target_distance_batch(y: np.ndarray, t: TargetSet, div: DivergenceSpec,
 
     Row i is measured against t's classes with thresholds p[i] and q[i]
     (t.p and t.q by default), which must be those of a valid TargetSet
-    over the same classes; it equals :func:`target_distance` there.
+    over the same classes.  f and f' are applied per entry, so every row
+    rounds as the scalar closed form does and no row depends on the others.
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[0]

@@ -54,6 +54,7 @@ __all__ = [
     "load_calibration",
     "Verdict",
     "verify_pair",
+    "verify_pairs",
     "PacGapTerms",
     "pac_gap_terms",
     "pairwise_risk",
@@ -332,12 +333,23 @@ class Verdict:
     gamma: float
 
 
+def verify_pairs(model: DenseClassifier, verifier: DenseClassifier,
+                 cal: GammaCalibration, xs, x_tildes) -> list[Verdict]:
+    """One verdict per pair (xs[i], x_tildes[i]) in one batched call, each
+    the verdict the pair gets alone: accept iff discrepancy < gamma."""
+    x_a, x_b = (np.reshape(v, (len(v), model.num_features))
+                for v in (xs, x_tildes))
+    return [Verdict(accepted=bool(value < cal.gamma),
+                    discrepancy=float(value), gamma=cal.gamma)
+            for value in _discrepancy_batch(model, verifier, x_a, x_b)]
+
+
 def verify_pair(model: DenseClassifier, verifier: DenseClassifier,
                 cal: GammaCalibration, x: np.ndarray, x_tilde: np.ndarray
                 ) -> Verdict:
-    """Accept iff the discrepancy falls strictly below gamma."""
-    value = discrepancy(model, verifier, x, x_tilde)
-    return Verdict(accepted=value < cal.gamma, discrepancy=value, gamma=cal.gamma)
+    """The one-pair view of :func:`verify_pairs`."""
+    return verify_pairs(model, verifier, cal, [_row(model, x)],
+                        [_row(model, x_tilde)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ batched kernel replaced, built only from the scalar layer functions; the
 per-row attack oracle is the one-point-at-a-time l2 attack that the
 row-batched attack replaced.  Both run the network through the single-row
 forward and backward passes below, which the row-exact batched layers
-replaced, so they never check a batched layer against a view of itself.
+replaced, and price through the scalar closed-form distance and cost model
+below, which the one-row views of the batched layers replaced, so they
+never check a batched layer against a view of itself.
 """
 from __future__ import annotations
 
@@ -20,9 +22,11 @@ import numpy as np
 from scipy.optimize import minimize
 
 from tapgen.actionability import (
+    CostModel,
+    FeatureSchema,
     PenaltyConfig,
+    _resolve_group,
     cond,
-    cost,
     cost_grad,
     penalty_actionable,
     penalty_coherence,
@@ -33,8 +37,8 @@ from tapgen.perturb import OptConfig, TapCandidate
 from tapgen.probspace import (
     DivergenceSpec,
     TargetSet,
+    classify_region,
     kl_divergence,
-    target_distance,
     target_distance_grad,
 )
 
@@ -235,6 +239,54 @@ def row_input_gradient(model, cache: ForwardCache, upstream: np.ndarray
                         s * (upstream - float(s @ upstream)) / model.temperature)
 
 
+def _mass_term(div: DivergenceSpec, budget: float, mass: float) -> float:
+    """budget * f(mass / budget) with the budget -> 0 limit convention."""
+    if budget <= 0.0:
+        # lim c->0 of c f(s/c) is s * lim f(t)/t, infinite for any strictly
+        # convex f with superlinear growth (both built-ins) unless s = 0.
+        return 0.0 if mass <= 0.0 else math.inf
+    return budget * div.f(mass / budget)
+
+
+def row_target_distance(y, t: TargetSet, div: DivergenceSpec) -> float:
+    """min over z in t of D(y || z), by the four-region closed form."""
+    s_w, s_u = t.masses(y)
+    p, q = t.p, t.q
+    region = classify_region(y, t)
+    if region == "A":
+        return 0.0
+    if region == "B":
+        return _mass_term(div, p, s_w) + _mass_term(div, 1.0 - p, 1.0 - s_w)
+    if region == "C":
+        return _mass_term(div, q, s_u) + _mass_term(div, 1.0 - q, 1.0 - s_u)
+    return (
+        _mass_term(div, p, s_w)
+        + _mass_term(div, q, s_u)
+        + _mass_term(div, 1.0 - p - q, 1.0 - s_w - s_u)
+    )
+
+
+def row_cost(x: np.ndarray, x_tilde: np.ndarray, cm: CostModel,
+             schema: FeatureSchema) -> float:
+    """Price of moving the individual from x to x_tilde, in raw units."""
+    x = schema.check_vector(x)
+    x_tilde = schema.check_vector(x_tilde)
+    total = 0.0
+    for term in cm.quadratic:
+        i = schema.index(term.feature)
+        total += term.weight * (x_tilde[i] - x[i]) ** 2
+    for term in cm.linear:
+        i = schema.index(term.feature)
+        total += term.weight * (x_tilde[i] - x[i])
+    for term in cm.transitions:
+        idx = _resolve_group(schema, term)
+        total += float(x[idx] @ term.matrix @ x_tilde[idx])
+    for term in cm.triggers:
+        i = schema.index(term.feature)
+        total += term.cost_on * max(0.0, x_tilde[i] - x[i])
+    return total
+
+
 def per_row_candidate(model, schema, cm, target: TargetSet, x: np.ndarray,
                       oc: OptConfig, div: DivergenceSpec | None = None,
                       penalty: PenaltyConfig | None = None
@@ -257,12 +309,13 @@ def per_row_candidate(model, schema, cm, target: TargetSet, x: np.ndarray,
     def evaluate(u_now, lam_eff):
         x_now = u_now * std + mean
         cache = row_forward(model, x_now)
-        dist = target_distance(cache.probs, target, div)
+        dist = row_target_distance(cache.probs, target, div)
         grad_dist = row_input_gradient(model, cache, target_distance_grad(
             cache.probs, target, div))
         box_val, box_grad = penalty_actionable(x_now, schema, penalty, (lo, hi))
         grp_val, grp_grad = penalty_coherence(x_now, schema, penalty)
-        value = dist + oc.lam * cost(x, x_now, cm, schema) + box_val + grp_val
+        value = (dist + oc.lam * row_cost(x, x_now, cm, schema) + box_val
+                 + grp_val)
         step_grad = (grad_dist + lam_eff * cost_grad(x, x_now, cm, schema)
                      + box_grad + grp_grad) * std
         step_grad[~mutable] = 0.0
@@ -301,9 +354,9 @@ def per_row_candidate(model, schema, cm, target: TargetSet, x: np.ndarray,
     dust = np.abs(moved - u_origin) < oc.snap_tol
     moved[dust] = u_origin[dust]
     x_tilde = cond(moved * std + mean, schema, (lo, hi))
-    epsilon = float(cost(x, x_tilde, cm, schema))
-    delta = float(target_distance(row_forward(model, x_tilde).probs, target,
-                                  div))
+    epsilon = float(row_cost(x, x_tilde, cm, schema))
+    delta = float(row_target_distance(row_forward(model, x_tilde).probs,
+                                      target, div))
     objective = delta if epsilon == 0.0 else delta + oc.lam * epsilon
     return TapCandidate(x=x.copy(), x_tilde=x_tilde, lam=oc.lam,
                         epsilon=epsilon, delta=delta, objective=objective,
@@ -323,9 +376,9 @@ def _adam_row(u, grad, m, v, t, lr):
 
 
 def _priced(model, schema, cm, target, div, x, x_tilde, lam, iterations):
-    epsilon = float(cost(x, x_tilde, cm, schema))
-    delta = float(target_distance(row_forward(model, x_tilde).probs, target,
-                                  div))
+    epsilon = float(row_cost(x, x_tilde, cm, schema))
+    delta = float(row_target_distance(row_forward(model, x_tilde).probs,
+                                      target, div))
     objective = delta if epsilon == 0.0 else delta + lam * epsilon
     return TapCandidate(x=x.copy(), x_tilde=np.array(x_tilde), lam=float(lam),
                         epsilon=epsilon, delta=delta, objective=objective,

@@ -14,6 +14,7 @@ from tapgen.baselines import (
     cw_l2_batch,
     mad_weights,
     wachter_counterfactual,
+    wachter_counterfactual_batch,
 )
 from tapgen.netcore import (
     TrainConfig,
@@ -273,3 +274,16 @@ class TestCwL2:
         before = float(true_posterior(spec, pt)[1])
         after = float(true_posterior(spec, x_tilde)[1])
         assert abs(after - before) < 0.1
+
+
+def test_flipped_is_a_real_bool(blob):
+    # the field is annotated bool; a numpy.bool_ is not one
+    model, x, labels, schema, cm, target = blob
+    pts = np.vstack([wrong_side_points(model, x, 2), x[labels == 1][:1]])
+    problem = (model, schema, cm, target)
+    attack = dict(attack_class=1, bisection_steps=2, max_iters=25)
+    results = [cw_l2(*problem, pts[0], **attack),
+               *cw_l2_batch(*problem, pts[:2], **attack),
+               wachter_counterfactual(*problem, pts[0], x, max_iters=30),
+               *wachter_counterfactual_batch(*problem, pts, x, max_iters=30)]
+    assert [type(r.flipped) for r in results] == [bool] * 7

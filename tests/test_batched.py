@@ -3,7 +3,9 @@
 Every batched layer must agree row for row with the scalar function it
 stands in for during descent, for a batch of one as for a permuted batch.
 The network layers are checked against the single-row passes they
-replaced (``oracles.row_forward``, ``oracles.row_input_gradient``).  The
+replaced (``oracles.row_forward``, ``oracles.row_input_gradient``), the
+distance and the cost against the scalar closed form and term loop they
+replaced (``oracles.row_target_distance``, ``oracles.row_cost``).  The
 batched frontier sweep must agree with the per-row search it replaced
 (``oracles.per_row_candidate``) on the full-size benchmark problem, and the
 row-batched l2 attack bit for bit with the per-point attack it replaced
@@ -16,11 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    _priced,
     per_row_candidate,
     per_row_cw,
     random_target_set,
+    row_cost,
     row_forward,
     row_input_gradient,
+    row_target_distance,
 )
 from tapgen.actionability import (
     CostModel,
@@ -30,7 +35,6 @@ from tapgen.actionability import (
     PenaltyConfig,
     TriggerTerm,
     cond,
-    cost,
     cost_batch,
     cost_grad,
     penalties_batch,
@@ -52,6 +56,7 @@ from tapgen.netcore import (
 from tapgen.perturb import (
     OptConfig,
     TapCandidate,
+    _price,
     frontier_sweep,
     frontier_sweep_batch,
     repair_on_rejection,
@@ -63,12 +68,11 @@ from tapgen.probspace import (
     chi_square_divergence,
     classify_region,
     kl_divergence,
-    target_distance,
     target_distance_batch,
     target_distance_grad,
 )
 from tapgen.synthetic import canonical_benchmark_spec, sample_synthetic
-from tapgen.verify import verify_pair
+from tapgen.verify import verify_pair, verify_pairs
 
 TOL = dict(rtol=1e-12, atol=1e-12)
 DIVS = (kl_divergence(), chi_square_divergence())
@@ -101,7 +105,7 @@ def check_distance_rows(t, rows, y, div):
     dist, grad = target_distance_batch(y, t, div, [r.p for r in rows],
                                        [r.q for r in rows])
     for i, r in enumerate(rows):
-        np.testing.assert_allclose(dist[i], target_distance(y[i], r, div),
+        np.testing.assert_allclose(dist[i], row_target_distance(y[i], r, div),
                                    **TOL)
         np.testing.assert_allclose(grad[i],
                                    target_distance_grad(y[i], r, div), **TOL)
@@ -152,8 +156,8 @@ def check_cost_rows(schema, cm, x, x_tilde):
     value, grad = cost_batch(x, x_tilde, cm, schema)
     for i, (origin, row) in enumerate(zip(row_origins(x, len(x_tilde)),
                                           x_tilde)):
-        np.testing.assert_allclose(value[i], cost(origin, row, cm, schema),
-                                   **TOL)
+        np.testing.assert_allclose(value[i],
+                                   row_cost(origin, row, cm, schema), **TOL)
         np.testing.assert_allclose(grad[i],
                                    cost_grad(origin, row, cm, schema), **TOL)
     return value, grad
@@ -252,7 +256,7 @@ class TestBatchShape:
         t, rows, y = distance_case(7, 3, 1)
         dist, grad = target_distance_batch(y, t, kl_divergence(),
                                            [rows[0].p], [rows[0].q])
-        assert dist[0] == target_distance(y[0], rows[0], kl_divergence())
+        assert dist[0] == row_target_distance(y[0], rows[0], kl_divergence())
         assert np.array_equal(grad[0], target_distance_grad(
             y[0], rows[0], kl_divergence()))
         schema, cm, x, x_tilde = adult_rows(3, 1)
@@ -527,3 +531,62 @@ def test_benchmark_output_order(bench_results_two_seeds):
             keys = [(result.individual_ids.index(i), METHODS.index(m))
                     for i, m in rows]
             assert keys == sorted(keys)
+
+
+# ---------------------------------------------------------------------------
+# one pricing path and one verdict path
+
+
+def last_bits(a: float, b: float, ulps: int = 8) -> bool:
+    return a == b or abs(a - b) <= ulps * np.spacing(max(abs(a), abs(b)))
+
+
+def batches(n: int):
+    """The full batch, a shuffled batch and every one-row batch."""
+    yield np.arange(n)
+    yield np.random.default_rng(n).permutation(n)
+    yield from ([i] for i in range(n))
+
+
+class TestOnePricingPath:
+    """Every candidate of a benchmark run (its full frontier.csv), priced
+    and verified in batches, against the scalar pricing oracle and the
+    one-pair verdict."""
+
+    def test_batched_pricing_matches_scalar_oracle(self,
+                                                   bench_results_two_seeds):
+        schema, cm, target = benchmark_problem()
+        div = kl_divergence()
+        for result in bench_results_two_seeds:
+            cands = [r.candidate for r in result.records]
+            x = np.array([c.x for c in cands])
+            x_tilde = np.array([c.x_tilde for c in cands])
+            lams = np.array([c.lam for c in cands])
+            iterations = np.array([c.iterations for c in cands])
+            want = [_priced(result.model, schema, cm, target, div, c.x,
+                            c.x_tilde, c.lam, c.iterations) for c in cands]
+            for rows in batches(len(cands)):
+                got = _price(result.model, schema, cm, target, div, x[rows],
+                             x_tilde[rows], lams[rows], iterations[rows])
+                assert len(got) == len(rows)
+                for i, g in zip(rows, got):
+                    w = want[i]
+                    assert np.array_equal(g.x, w.x)
+                    assert np.array_equal(g.x_tilde, w.x_tilde)
+                    assert (g.lam, g.delta, g.iterations) == (
+                        w.lam, w.delta, w.iterations)
+                    assert last_bits(g.epsilon, w.epsilon)
+                    assert last_bits(g.objective, w.objective)
+
+    def test_verify_pairs_equals_verify_pair(self, bench_results_two_seeds):
+        for result in bench_results_two_seeds:
+            problem = (result.model, result.verifier, result.calibration)
+            cands = [r.candidate for r in result.records]
+            x = np.array([c.x for c in cands])
+            x_tilde = np.array([c.x_tilde for c in cands])
+            want = [verify_pair(*problem, c.x, c.x_tilde) for c in cands]
+            assert [(v.accepted, v.discrepancy) for v in want] == [
+                (c.verified, c.discrepancy) for c in cands]
+            for rows in batches(len(cands)):
+                assert verify_pairs(*problem, x[rows], x_tilde[rows]) == [
+                    want[i] for i in rows]

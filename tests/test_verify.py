@@ -24,6 +24,7 @@ from tapgen.verify import (
     save_calibration,
     train_verifier,
     verify_pair,
+    verify_pairs,
 )
 
 # frozen from a 40-digit computation of
@@ -293,6 +294,17 @@ class TestCalibration:
                                  seed=0, source_split="test", source_hash="x")
         assert verify_pair(point_model, trained_verifier, loose, a, b).accepted
         assert not verify_pair(point_model, trained_verifier, tight, a, b).accepted
+
+    def test_verify_pairs_checks_shapes(self, point_model, trained_verifier,
+                                        calibrated, separated):
+        x, _ = separated
+        problem = (point_model, trained_verifier, calibrated)
+        assert verify_pairs(*problem, [], []) == []
+        # flat rows, a row of the wrong width, unequal pair counts
+        for xs, x_tildes in ((x[:3].ravel(), x[:3].ravel()),
+                             (x[:3, :-1], x[:3, :-1]), (x[:3], x[:2])):
+            with pytest.raises(ValueError):
+                verify_pairs(*problem, xs, x_tildes)
 
 
 class TestOneDiscrepancyFormula:
