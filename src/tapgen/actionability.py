@@ -15,11 +15,12 @@ diagonals are forced to zero.
 
 The relaxed optimizer wanders off the integral/one-hot manifold; ``cond``
 snaps a candidate back (round, clip, argmax per group) and the two penalty
-terms price box violations and one-hot mass drift during descent.
+terms price box violations and one-hot mass drift during descent.  Each
+formula is written once over (n, d) rows; single-row names are views.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -40,9 +41,16 @@ __all__ = [
     "penalty_coherence",
     "penalties_batch",
     "cond",
+    "cond_batch",
 ]
 
 _KINDS = ("numeric", "integer", "boolean", "onehot")
+
+
+def _frozen(values, dtype=float) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -116,21 +124,30 @@ class FeatureSchema:
 
     @cached_property
     def lower_bounds(self) -> np.ndarray:
-        arr = np.array([f.lower for f in self.features], dtype=float)
-        arr.setflags(write=False)
-        return arr
+        return _frozen([f.lower for f in self.features])
 
     @cached_property
     def upper_bounds(self) -> np.ndarray:
-        arr = np.array([f.upper for f in self.features], dtype=float)
-        arr.setflags(write=False)
-        return arr
+        return _frozen([f.upper for f in self.features])
 
     @cached_property
     def mutable_mask(self) -> np.ndarray:
-        arr = np.array([f.mutable for f in self.features], dtype=bool)
-        arr.setflags(write=False)
-        return arr
+        return _frozen([f.mutable for f in self.features], bool)
+
+    @cached_property
+    def rounded_mask(self) -> np.ndarray:
+        """Integer and boolean features: the ones cond rounds."""
+        return _frozen([f.kind in ("integer", "boolean") for f in self.features], bool)
+
+    @cached_property
+    def binary_mask(self) -> np.ndarray:
+        """Boolean and one-hot features: coherent only at 0 or 1."""
+        return _frozen([f.kind in ("boolean", "onehot") for f in self.features], bool)
+
+    @cached_property
+    def onehot_index(self) -> tuple[np.ndarray, ...]:
+        """Member indices of each one-hot group, in onehot_groups order."""
+        return tuple(_frozen(idx, np.intp) for idx in self.onehot_groups.values())
 
     def index(self, name: str) -> int:
         try:
@@ -138,35 +155,36 @@ class FeatureSchema:
         except ValueError:
             raise KeyError(f"schema has no feature {name!r}") from None
 
-    def check_vector(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (len(self.features),):
-            raise ValueError(
-                f"expected {len(self.features)} features, got shape {x.shape}"
-            )
+    def check_vector(self, x: np.ndarray, rows: bool = False) -> np.ndarray:
+        """x as a float (d,) vector, or with ``rows`` an (n, d) matrix."""
+        x, d = np.asarray(x, dtype=float), len(self.features)
+        if x.shape != ((*x.shape[:1], d) if rows else (d,)):
+            raise ValueError(f"expected {'rows of ' if rows else ''}{d} features, "
+                             f"got shape {x.shape}")
         return x
 
     def box_for(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Actionable box for the individual x, or one box per row of an
         (n, d) matrix of individuals: immutables pinned to x."""
-        x = self.check_vector(x) if np.ndim(x) < 2 else np.asarray(x, float)
+        x = self.check_vector(x, rows=np.ndim(x) > 1)
         return (np.where(self.mutable_mask, self.lower_bounds, x),
                 np.where(self.mutable_mask, self.upper_bounds, x))
 
     def is_coherent(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        """Integral/boolean values where required, exactly one hot per group."""
-        x = self.check_vector(x)
-        for i, f in enumerate(self.features):
-            if f.kind == "integer" and abs(x[i] - round(x[i])) > tol:
-                return False
-            if f.kind in ("boolean", "onehot") and (
-                abs(x[i]) > tol and abs(x[i] - 1.0) > tol
-            ):
-                return False
-        for idx in self.onehot_groups.values():
-            if abs(float(x[list(idx)].sum()) - 1.0) > tol:
-                return False
-        return True
+        """Integral/boolean values where required, exactly one hot per group;
+        the one-row view of :meth:`coherent_rows`."""
+        return bool(self.coherent_rows(self.check_vector(x)[None, :], tol)[0])
+
+    def coherent_rows(self, x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+        """:meth:`is_coherent` for every row of an (n, d) matrix at once."""
+        x = self.check_vector(x, rows=True)
+        near = lambda a, b: np.abs(a - b) <= tol   # NaN is never near
+        with np.errstate(invalid="ignore"):        # inf - inf is NaN
+            ok = np.where(self.binary_mask, near(x, 0.0) | near(x, 1.0),
+                          near(x, np.rint(x)) | ~self.rounded_mask).all(axis=1)
+        for idx in self.onehot_index:
+            ok &= near(x[:, idx].sum(axis=1), 1.0)
+        return ok
 
 
 @dataclass(frozen=True)
@@ -228,6 +246,11 @@ class CostModel:
 class PenaltyConfig:
     actionable_weight: float = 1000.0
     coherence_weight: float = 1000.0
+
+    def __post_init__(self) -> None:
+        for name in ("actionable_weight", "coherence_weight"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
 
 
 def _resolve_group(schema: FeatureSchema, term: TransitionTerm) -> list[int]:
@@ -291,17 +314,19 @@ def cost_batch(x: np.ndarray, x_tilde: np.ndarray, cm: CostModel,
 def penalties_batch(x_tilde: np.ndarray, schema: FeatureSchema,
                     pc: PenaltyConfig, box: tuple[np.ndarray, np.ndarray]
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Box plus coherence penalty (value, gradient) for every row at once;
-    the box bounds are (d,) vectors or (n, d) matrices, one box per row."""
+    """Box plus coherence penalty (value, gradient) for every row at once:
+    the hinge on leaving the actionable box and the squared drift of each
+    one-hot group's mass from 1.  The box bounds are (d,) vectors or (n, d)
+    matrices, one box per row."""
     lo, hi = box
     value = pc.actionable_weight * np.sum(
         np.maximum(0.0, x_tilde - hi) + np.maximum(0.0, lo - x_tilde), axis=1)
     grad = pc.actionable_weight * (
         (x_tilde > hi).astype(float) - (x_tilde < lo).astype(float))
-    for idx in schema.onehot_groups.values():
-        drift = 1.0 - x_tilde[:, list(idx)].sum(axis=1)
+    for idx in schema.onehot_index:
+        drift = 1.0 - x_tilde[:, idx].sum(axis=1)
         value = value + pc.coherence_weight * drift * drift
-        grad[:, list(idx)] += (-2.0 * pc.coherence_weight * drift)[:, None]
+        grad[:, idx] += (-2.0 * pc.coherence_weight * drift)[:, None]
     return value, grad
 
 
@@ -309,59 +334,59 @@ def penalty_actionable(x_tilde: np.ndarray, schema: FeatureSchema,
                        pc: PenaltyConfig,
                        box: tuple[np.ndarray, np.ndarray] | None = None
                        ) -> tuple[float, np.ndarray]:
-    """Hinge penalty on leaving the actionable box; returns (value, gradient)."""
+    """Hinge penalty on leaving the actionable box; returns (value, gradient).
+    The one-row view of :func:`penalties_batch` with the group term off."""
     x_tilde = schema.check_vector(x_tilde)
-    lo, hi = box if box is not None else (schema.lower_bounds, schema.upper_bounds)
-    over = np.maximum(0.0, x_tilde - hi)
-    under = np.maximum(0.0, lo - x_tilde)
-    value = pc.actionable_weight * float((over + under).sum())
-    grad = pc.actionable_weight * (
-        (x_tilde > hi).astype(float) - (x_tilde < lo).astype(float)
-    )
-    return value, grad
+    box = box if box is not None else (schema.lower_bounds, schema.upper_bounds)
+    value, grad = penalties_batch(x_tilde[None, :], schema,
+                                  replace(pc, coherence_weight=0.0), box)
+    return float(value[0]), grad[0]
 
 
 def penalty_coherence(x_tilde: np.ndarray, schema: FeatureSchema,
                       pc: PenaltyConfig) -> tuple[float, np.ndarray]:
-    """Squared drift of each one-hot group's mass from 1; (value, gradient)."""
+    """Squared drift of each one-hot group's mass from 1; (value, gradient).
+    The one-row view of :func:`penalties_batch` with the box term off."""
     x_tilde = schema.check_vector(x_tilde)
-    value = 0.0
-    grad = np.zeros_like(x_tilde)
-    for idx in schema.onehot_groups.values():
-        members = list(idx)
-        drift = 1.0 - float(x_tilde[members].sum())
-        value += pc.coherence_weight * drift * drift
-        grad[members] += -2.0 * pc.coherence_weight * drift
-    return value, grad
+    value, grad = penalties_batch(x_tilde[None, :], schema,
+                                  replace(pc, actionable_weight=0.0),
+                                  (x_tilde, x_tilde))
+    return float(value[0]), grad[0]
 
 
 def cond(x_tilde: np.ndarray, schema: FeatureSchema,
          box: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Snap a relaxed candidate onto the coherent set inside the box.
+    """Snap a relaxed candidate onto the coherent set inside the box; the
+    one-row view of :func:`cond_batch`."""
+    return cond_batch(schema.check_vector(x_tilde)[None, :], schema, box)[0]
+
+
+def cond_batch(x_tilde: np.ndarray, schema: FeatureSchema,
+               box: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Snap every row of an (n, d) matrix onto the coherent set inside its
+    box: (d,) bounds, or (n, d) bounds with one box per row.
 
     Numerics clip, integers round half away from zero then clip, booleans
     round to the nearer admissible end, and each one-hot group activates its
     largest admissible member (ties to the lowest index).  Idempotent.
     """
-    x_tilde = schema.check_vector(x_tilde).copy()
-    lo, hi = box if box is not None else (schema.lower_bounds, schema.upper_bounds)
-    for i, f in enumerate(schema.features):
-        if f.kind == "onehot":
-            continue
-        v = x_tilde[i]
-        if f.kind in ("integer", "boolean"):
-            v = float(np.copysign(np.floor(abs(v) + 0.5), v))
-        x_tilde[i] = min(max(v, lo[i]), hi[i])
-    for idx in schema.onehot_groups.values():
-        members = list(idx)
-        forced = [i for i in members if lo[i] >= 1.0]
-        eligible = [i for i in members if hi[i] >= 1.0]
-        if forced:
-            winner = forced[0]
-        elif eligible:
-            winner = eligible[int(np.argmax(x_tilde[eligible]))]
-        else:
-            winner = members[int(np.argmax(x_tilde[members]))]
-        x_tilde[members] = 0.0
-        x_tilde[winner] = 1.0
-    return x_tilde
+    x_tilde = schema.check_vector(x_tilde, rows=True)
+    box = box if box is not None else (schema.lower_bounds, schema.upper_bounds)
+    lo, hi = (np.broadcast_to(b, x_tilde.shape) for b in box)
+    out = np.where(schema.rounded_mask,
+                   np.copysign(np.floor(np.abs(x_tilde) + 0.5), x_tilde), x_tilde)
+    # clip with comparisons, as min(max(v, lo), hi) does: np.clip and
+    # np.maximum may flip the sign of a zero that sits on a zero bound
+    out = np.where(lo > out, lo, out)
+    out = np.where(hi < out, hi, out)
+    rows = np.arange(len(out))
+    for idx in schema.onehot_index:
+        forced, eligible = lo[:, idx] >= 1.0, hi[:, idx] >= 1.0
+        values = x_tilde[:, idx]
+        pick = np.argmax(np.where(eligible, values, -np.inf), axis=1)
+        # with every eligible member at -inf the mask ties: the first one wins
+        pick = np.where(eligible[rows, pick], pick, np.argmax(eligible, axis=1))
+        winner = np.select([forced.any(axis=1), eligible.any(axis=1)],
+                           [np.argmax(forced, axis=1), pick], np.argmax(values, axis=1))
+        out[:, idx] = np.arange(len(idx)) == winner[:, None]
+    return out

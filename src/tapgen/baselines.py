@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actionability import CostModel, FeatureSchema, cond
+from .actionability import CostModel, FeatureSchema, cond_batch
 from .netcore import (
     DenseClassifier,
     forward_cache_batch,
@@ -132,18 +132,18 @@ def wachter_counterfactual_batch(model: DenseClassifier,
     u_best = _descend(evaluate, (x - mean) / std, max(max_iters - 1, 0), lr,
                       max_iters // 2,
                       bounds=((lo - mean) / std, (hi - mean) / std))[0]
-    x_tilde = np.reshape([cond(u * std + mean, schema, (lo[r], hi[r]))
-                          for r, u in enumerate(u_best)], (-1, xs.shape[1]))
+    x_tilde = cond_batch(u_best * std + mean, schema, (lo, hi))
 
     # one pricing call for the phase: the stay-put points, then every trial
-    priced = _price(model, schema, cm, target, div, np.vstack([xs[stay], x]),
-                    np.vstack([xs[stay], x_tilde]),
-                    np.r_[np.full(len(stay), lambdas[0]), lams],
-                    np.r_[np.zeros(len(stay), int), np.full(len(x), max_iters)])
+    priced, probs = _price(
+        model, schema, cm, target, div, np.vstack([xs[stay], x]),
+        np.vstack([xs[stay], x_tilde]),
+        np.r_[np.full(len(stay), lambdas[0]), lams],
+        np.r_[np.zeros(len(stay), int), np.full(len(x), max_iters)])
     for i, noop in zip(stay, priced):
         out[i] = BaselineResult(candidate=noop, flipped=True, trials=(noop,))
-    trials = priced[len(stay):]
-    probs = predict_proba_batch(model, x_tilde)
+    # M's output at every trial point comes back from the pricing pass
+    trials, probs = priced[len(stay):], probs[len(stay):]
     flipped = np.argmax(probs, axis=1) == desired_class
     for k, i in enumerate(live):
         rows = slice(k * len(lambdas), (k + 1) * len(lambdas))
@@ -209,7 +209,7 @@ def cw_l2_batch(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
         l2, x_adv = _cw_attack(model, schema, x, attack_class, c, lr,
                                max_iters, kappa)
         trials.append(_price(model, schema, cm, target, div, x, x_adv, c,
-                             max_iters))
+                             max_iters)[0])
         better = l2 < best_l2
         best_l2[better], best[better] = l2[better], step
         flipped = np.isfinite(l2)

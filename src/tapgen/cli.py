@@ -198,14 +198,22 @@ def _verification_pair(args, cfg: ExperimentConfig, model: DenseClassifier,
     return verifier, cal
 
 
-def _individual_row(args, x: np.ndarray) -> int:
-    if args.individual is None:
-        raise ConfigError("this command needs --individual")
+def _individual_problem(args):
+    """What every one-individual command loads: the config and its text, the
+    output directory, the dataset, M, the optional V and calibration, and
+    the checked --individual row."""
+    cfg, text = _load_config_arg(args)
+    out = _out_dir(args, cfg)
+    x, y = load_dataset(cfg)
+    model = _load_model_arg(args, cfg)
+    verifier, cal = _verification_pair(args, cfg, model, x, y)
     idx = args.individual
+    if idx is None:
+        raise ConfigError("this command needs --individual")
     if not (0 <= idx < x.shape[0]):
         raise ConfigError(
             f"--individual {idx} outside the dataset ({x.shape[0]} rows)")
-    return idx
+    return cfg, text, out, x, model, verifier, cal, idx
 
 
 def _split_rows(model: DenseClassifier, n: int, split: str) -> tuple[list[int], str]:
@@ -469,30 +477,21 @@ def _cmd_calibrate_gamma(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    cfg, text = _load_config_arg(args)
-    out = _out_dir(args, cfg)
-    x, y = load_dataset(cfg)
-    model = _load_model_arg(args, cfg)
-    verifier, cal = _verification_pair(args, cfg, model, x, y)
-    idx = _individual_row(args, x)
+    cfg, text, out, x, model, verifier, cal, idx = _individual_problem(args)
     div = cfg.divergence()
     if args.epsilon_max is not None and args.delta_max is not None:
         raise ConfigError("give at most one of --epsilon-max and --delta-max")
 
-    if args.delta_max is not None:
+    if args.delta_max is not None or args.epsilon_max is not None:
         outcome = meet_budget(model, cfg.schema, cfg.cost, cfg.target, x[idx],
-                              cfg.opt, delta_max=args.delta_max, div=div,
+                              cfg.opt, epsilon_max=args.epsilon_max,
+                              delta_max=args.delta_max, div=div,
                               penalty=cfg.penalty)
-        if not outcome.met:
+        if not outcome.met:   # an epsilon budget is always met
             raise BudgetError(
                 f"delta budget {args.delta_max:g} unreachable for individual "
                 f"{idx}; closest delta {outcome.candidate.delta:.6f} at "
                 f"epsilon {outcome.candidate.epsilon:.6f}")
-        cand = outcome.candidate
-    elif args.epsilon_max is not None:
-        outcome = meet_budget(model, cfg.schema, cfg.cost, cfg.target, x[idx],
-                              cfg.opt, epsilon_max=args.epsilon_max, div=div,
-                              penalty=cfg.penalty)
         cand = outcome.candidate
     else:
         oc = cfg.opt if args.lam is None else dataclasses.replace(
@@ -512,12 +511,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg, text = _load_config_arg(args)
-    out = _out_dir(args, cfg)
-    x, y = load_dataset(cfg)
-    model = _load_model_arg(args, cfg)
-    verifier, cal = _verification_pair(args, cfg, model, x, y)
-    idx = _individual_row(args, x)
+    cfg, text, out, x, model, verifier, cal, idx = _individual_problem(args)
     lambdas = cfg.lambdas if args.lam is None else (args.lam,)
     sweep = frontier_sweep(model, cfg.schema, cfg.cost, cfg.target, x[idx],
                            lambdas, cfg.opt, div=cfg.divergence(),
@@ -560,12 +554,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_attack_cw(args) -> int:
-    cfg, text = _load_config_arg(args)
-    out = _out_dir(args, cfg)
-    x, y = load_dataset(cfg)
-    model = _load_model_arg(args, cfg)
-    verifier, cal = _verification_pair(args, cfg, model, x, y)
-    idx = _individual_row(args, x)
+    cfg, text, out, x, model, verifier, cal, idx = _individual_problem(args)
     result = cw_l2(model, cfg.schema, cfg.cost, cfg.target, x[idx],
                    attack_class=cfg.target.desirable[0],
                    div=cfg.divergence())
@@ -585,12 +574,7 @@ def _cmd_attack_cw(args) -> int:
 
 
 def _cmd_baseline_wachter(args) -> int:
-    cfg, text = _load_config_arg(args)
-    out = _out_dir(args, cfg)
-    x, y = load_dataset(cfg)
-    model = _load_model_arg(args, cfg)
-    verifier, cal = _verification_pair(args, cfg, model, x, y)
-    idx = _individual_row(args, x)
+    cfg, text, out, x, model, verifier, cal, idx = _individual_problem(args)
     rows, _ = _split_rows(model, x.shape[0], "train")
     result = wachter_counterfactual(model, cfg.schema, cfg.cost, cfg.target,
                                     x[idx], x[rows], div=cfg.divergence())

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv as _csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -109,6 +110,18 @@ class ExperimentConfig:
 # section readers
 
 
+@contextmanager
+def _invalid(where: str):
+    """Report a ValueError or TypeError from building a config value as a
+    ConfigError naming where; a ConfigError raised inside passes through."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config: {where}: {exc}") from None
+
+
 def _section(doc: dict, key: str, required: bool = True) -> dict:
     sec = doc.get(key)
     if sec is None:
@@ -181,7 +194,7 @@ def _parse_schema(doc: dict) -> FeatureSchema:
         mutable = rf.get("mutable", True)
         if not isinstance(mutable, bool):
             raise ConfigError(f"config: {where}.mutable must be a boolean")
-        try:
+        with _invalid(where):
             feats.append(Feature(
                 name=_str(rf, where, "name"),
                 kind=kind,
@@ -191,19 +204,15 @@ def _parse_schema(doc: dict) -> FeatureSchema:
                 group=rf.get("group"),
                 category=rf.get("category"),
             ))
-        except ValueError as exc:
-            raise ConfigError(f"config: {where}: {exc}") from None
     labels = sec.get("class_labels", [])
     if not isinstance(labels, list) or not all(isinstance(c, str) for c in labels):
         raise ConfigError("config: schema.class_labels must be a list of strings")
-    try:
+    with _invalid("schema"):
         return FeatureSchema(
             features=tuple(feats),
             label_column=_str(sec, "schema", "label_column", "label"),
             class_labels=tuple(labels),
         )
-    except ValueError as exc:
-        raise ConfigError(f"config: schema: {exc}") from None
 
 
 def _parse_cost(doc: dict, schema: FeatureSchema) -> CostModel:
@@ -239,11 +248,9 @@ def _parse_cost(doc: dict, schema: FeatureSchema) -> CostModel:
         matrix = term.get("matrix")
         if not isinstance(matrix, list):
             raise ConfigError(f"config: {where}.matrix must be a numeric block")
-        try:
+        with _invalid(where):
             tt = TransitionTerm(group, np.array(matrix, dtype=float),
                                 units=_str(term, where, "units", ""))
-        except ValueError as exc:
-            raise ConfigError(f"config: {where}: {exc}") from None
         if tt.matrix.shape[0] != len(members):
             raise ConfigError(
                 f"config: {where}.matrix is {tt.matrix.shape[0]}x"
@@ -279,7 +286,7 @@ def _parse_target(doc: dict, schema: FeatureSchema) -> TargetSet:
             out.append(schema.class_labels.index(label))
         return tuple(out)
 
-    try:
+    with _invalid("target"):
         return TargetSet(
             num_classes=len(schema.class_labels),
             desirable=resolve("desirable"),
@@ -287,8 +294,6 @@ def _parse_target(doc: dict, schema: FeatureSchema) -> TargetSet:
             p=_num(sec, "target", "p"),
             q=_num(sec, "target", "q"),
         )
-    except ValueError as exc:
-        raise ConfigError(f"config: target: {exc}") from None
 
 
 def _parse_dataset(doc: dict, schema: FeatureSchema) -> DatasetConfig:
@@ -305,14 +310,12 @@ def _parse_dataset(doc: dict, schema: FeatureSchema) -> DatasetConfig:
     if not isinstance(syn, dict):
         raise ConfigError("config: dataset.synthetic must be an object")
     _reject_unknown(syn, "dataset.synthetic", {"means", "variances", "priors"})
-    try:
+    with _invalid("dataset.synthetic"):
         spec = SyntheticSpec(
             means=np.array(syn.get("means"), dtype=float),
             variances=np.array(syn.get("variances"), dtype=float),
             priors=np.array(syn.get("priors"), dtype=float),
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config: dataset.synthetic: {exc}") from None
     if spec.means.shape[1] != len(schema.features):
         raise ConfigError(
             f"config: dataset.synthetic has {spec.means.shape[1]} dimensions "
@@ -342,10 +345,8 @@ def parse_config(doc: dict, base_dir: str = ".") -> ExperimentConfig:
     if seed < 0:
         raise ConfigError("config: seed must be non-negative")
     divergence_name = _str(doc, "config", "divergence", "kl")
-    try:
+    with _invalid("divergence"):
         get_divergence(divergence_name)
-    except ValueError as exc:
-        raise ConfigError(f"config: {exc}") from None
 
     schema = _parse_schema(doc)
     cost_model = _parse_cost(doc, schema)
@@ -367,7 +368,7 @@ def parse_config(doc: dict, base_dir: str = ".") -> ExperimentConfig:
     split = train_sec.get("split", [0.8, 0.1, 0.1])
     if not isinstance(split, list) or len(split) != 3:
         raise ConfigError("config: model.train.split must be three fractions")
-    try:
+    with _invalid("model.train"):
         train = TrainConfig(
             learning_rate=_num(train_sec, "model.train", "learning_rate", 1e-3),
             batch_size=_int(train_sec, "model.train", "batch_size", 32),
@@ -376,20 +377,19 @@ def parse_config(doc: dict, base_dir: str = ".") -> ExperimentConfig:
             split=tuple(float(s) for s in split),
             seed=seed,
         )
-    except ValueError as exc:
-        raise ConfigError(f"config: model.train: {exc}") from None
 
     pen_sec = _section(doc, "penalty", required=False)
     _reject_unknown(pen_sec, "penalty", {"actionable_weight", "coherence_weight"})
-    penalty = PenaltyConfig(
-        actionable_weight=_num(pen_sec, "penalty", "actionable_weight", 1000.0),
-        coherence_weight=_num(pen_sec, "penalty", "coherence_weight", 1000.0),
-    )
+    with _invalid("penalty"):
+        penalty = PenaltyConfig(
+            actionable_weight=_num(pen_sec, "penalty", "actionable_weight", 1000.0),
+            coherence_weight=_num(pen_sec, "penalty", "coherence_weight", 1000.0),
+        )
 
     opt_sec = _section(doc, "opt", required=False)
     _reject_unknown(opt_sec, "opt",
                     {"lam", "lr", "max_iters", "tol", "patience", "snap_tol"})
-    try:
+    with _invalid("opt"):
         opt = OptConfig(
             lam=_num(opt_sec, "opt", "lam", 1.0),
             lr=_num(opt_sec, "opt", "lr", 0.05),
@@ -399,8 +399,6 @@ def parse_config(doc: dict, base_dir: str = ".") -> ExperimentConfig:
             snap_tol=_num(opt_sec, "opt", "snap_tol", 1e-6),
             seed=seed,
         )
-    except ValueError as exc:
-        raise ConfigError(f"config: opt: {exc}") from None
 
     sweep_sec = _section(doc, "sweep", required=False)
     _reject_unknown(sweep_sec, "sweep", {"lambdas"})

@@ -38,7 +38,8 @@ from .actionability import (
     CostModel,
     FeatureSchema,
     PenaltyConfig,
-    cond,
+    _frozen,
+    cond_batch,
     cost_batch,
     penalties_batch,
 )
@@ -135,12 +136,6 @@ class DivergedError(RuntimeError):
         self.trace = trace
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
 def _check_problem(model: DenseClassifier, schema: FeatureSchema,
                    target: TargetSet) -> None:
     if model.num_features != len(schema.features):
@@ -163,7 +158,7 @@ def trivial_candidate(model: DenseClassifier, schema: FeatureSchema,
     """The stay-put candidate: x_tilde = x, epsilon 0, lam infinite."""
     _check_problem(model, schema, target)
     x = schema.check_vector(x)[None, :]
-    return _price(model, schema, cm, target, div, x, x, math.inf, 0)[0]
+    return _price(model, schema, cm, target, div, x, x, math.inf, 0)[0][0]
 
 
 def _adam_step(u: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
@@ -230,13 +225,14 @@ def _descend(evaluate, u: np.ndarray, steps: int, lr: float, warmup: int,
 
 
 def _price(model, schema, cm, target, div, x, x_tilde, lams, iterations
-           ) -> list[TapCandidate]:
+           ) -> tuple[list[TapCandidate], np.ndarray]:
     """Price the final points x_tilde[i], reached from the origins x[i]
     (both (n, d)), with one call per batched layer: epsilon, and delta of
-    M's output (div None: KL).  lams and iterations: per row, or one."""
+    M's output (div None: KL).  lams and iterations: per row, or one.
+    Returns the candidates and M's (n, k) probabilities at x_tilde."""
     div = div if div is not None else kl_divergence()
-    delta = target_distance_batch(forward_cache_batch(model, x_tilde).probs,
-                                  target, div)[0]
+    probs = forward_cache_batch(model, x_tilde).probs
+    delta = target_distance_batch(probs, target, div)[0]
     epsilon = cost_batch(x, x_tilde, cm, schema)[0]
     lams, iterations = np.broadcast_arrays(np.asarray(lams, dtype=float),
                                            iterations, delta)[:2]
@@ -244,7 +240,7 @@ def _price(model, schema, cm, target, div, x, x_tilde, lams, iterations
         x=_frozen(x[i]), x_tilde=_frozen(x_tilde[i]), lam=float(lams[i]),
         epsilon=float(eps), delta=float(dist), iterations=int(iterations[i]),
         objective=float(dist if eps == 0.0 else dist + lams[i] * eps))
-        for i, (eps, dist) in enumerate(zip(epsilon, delta))]
+        for i, (eps, dist) in enumerate(zip(epsilon, delta))], probs
 
 
 def _verified(model, verifier, cal, results) -> list:
@@ -257,26 +253,22 @@ def _verified(model, verifier, cal, results) -> list:
             else r for r in results]
 
 
-def _origin_error(schema: FeatureSchema, x: np.ndarray) -> ValueError | None:
-    """Why a search cannot start from x: it must be coherent and in its box."""
-    if not schema.is_coherent(x):
-        return ValueError("origin point is not coherent under the schema")
-    lo, hi = schema.box_for(x)
-    if np.any(x < lo - 1e-9) or np.any(x > hi + 1e-9):
-        return ValueError("origin point lies outside the feature bounds")
-    return None
+def _origin_errors(schema: FeatureSchema, xs: np.ndarray) -> list:
+    """Why a search cannot start from each row of the (m, d) matrix xs, or
+    None where it can: an origin must be coherent and inside its box."""
+    lo, hi = schema.box_for(xs)
+    outside = np.any((xs < lo - 1e-9) | (xs > hi + 1e-9), axis=1)
+    return [None if ok and not out else ValueError(
+                "origin point lies outside the feature bounds" if ok else
+                "origin point is not coherent under the schema")
+            for ok, out in zip(schema.coherent_rows(xs), outside)]
 
 
 def _individuals(model: DenseClassifier, schema: FeatureSchema,
                  target: TargetSet, xs) -> np.ndarray:
     """Check the shared problem and the (m, d) matrix of individuals xs."""
     _check_problem(model, schema, target)
-    xs = np.asarray(xs, dtype=float)
-    d = len(schema.features)
-    if xs.ndim != 2 or xs.shape[1] != d:
-        raise ValueError(f"expected an (m, {d}) matrix of individuals, "
-                         f"got shape {xs.shape}")
-    return xs
+    return schema.check_vector(xs, rows=True)
 
 
 def _one(results: list):
@@ -293,8 +285,9 @@ def _search(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
             ) -> list:
     """One descent per lam, all rows at once, in the order given.
 
-    xs is an (m, d) matrix of origins, and the rows split into m
-    equal runs, one per origin (and so per box).  Row i descends from
+    xs is an (m, d) matrix of origins, checked by the caller with
+    :func:`_origin_errors`, and the rows split into m equal runs, one per
+    origin (and so per box).  Row i descends from
     starts[i] (default its origin) toward targets[i] (default target; same
     classes, own thresholds) and is priced against target from its origin.
     Each row yields a TapCandidate, or the DivergedError it ran into.
@@ -306,10 +299,6 @@ def _search(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
     lams = np.asarray(lams, dtype=float)
     targets = [target] * lams.size if targets is None else targets
     p, q = np.array([(t.p, t.q) for t in targets]).T
-    for origin in xs:
-        error = _origin_error(schema, origin)
-        if error is not None:
-            raise error
     x = np.repeat(xs, lams.size // len(xs), axis=0)
     lo, hi = schema.box_for(x)
     mean, std = model.mean, model.std
@@ -347,10 +336,9 @@ def _search(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
     # coordinates that barely moved snap back exactly before rounding
     moved = np.where(np.abs(best_u[kept] - u_origin[kept]) < oc.snap_tol,
                      u_origin[kept], best_u[kept])
-    x_tilde = np.reshape([cond(row * std + mean, schema, (lo[i], hi[i]))
-                          for i, row in zip(kept, moved)], (-1, x.shape[1]))
+    x_tilde = cond_batch(moved * std + mean, schema, (lo[kept], hi[kept]))
     priced = iter(_price(model, schema, cm, target, div, x[kept], x_tilde,
-                         lams[kept], iterations[kept]))
+                         lams[kept], iterations[kept])[0])
     return [next(priced) if t < 0 else DivergedError(
                 "objective not finite at the starting point" if t == 0
                 else f"objective diverged at iteration {t} (lam={lam:g})",
@@ -365,10 +353,11 @@ def generate_candidate(model: DenseClassifier, schema: FeatureSchema,
                        x_start: np.ndarray | None = None) -> TapCandidate:
     """Run one descent at oc.lam and return the discretized best point."""
     _check_problem(model, schema, target)
-    x = schema.check_vector(x)
+    x = schema.check_vector(x)[None, :]
     starts = None if x_start is None else schema.check_vector(x_start)[None, :]
-    return _one(_search(model, schema, cm, target, x[None, :], [oc.lam], oc,
-                        div, penalty, starts=starts))
+    _one(_origin_errors(schema, x))   # raises the origin's error, if any
+    return _one(_search(model, schema, cm, target, x, [oc.lam], oc, div,
+                        penalty, starts=starts))
 
 
 @dataclass(frozen=True)
@@ -408,6 +397,7 @@ def meet_budget(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
             return BudgetOutcome(noop, True, "delta", delta_max, (noop,))
     elif epsilon_max < 0.0:
         raise ValueError("epsilon_max must be nonnegative")
+    _one(_origin_errors(schema, noop.x[None, :]))   # after the stay-put price
     lams = [oc.lam]
     for _ in range(trials - 1):
         lams.append(lams[-1] / factor if delta_max is not None
@@ -463,13 +453,13 @@ def frontier_sweep_batch(model: DenseClassifier, schema: FeatureSchema,
     its origin raised."""
     lams = [float(lam) for lam in lambdas]
     xs = _individuals(model, schema, target, xs)
-    out = [_origin_error(schema, x) for x in xs]
+    out = _origin_errors(schema, xs)
     good = [i for i, err in enumerate(out) if err is None]
     results = _search(model, schema, cm, target, xs[good], lams * len(good),
                       oc, div, penalty)
     # the stay-put candidates of every individual, priced in one call
     noops = (_price(model, schema, cm, target, div, xs[good], xs[good],
-                    math.inf, 0) if include_noop else [])
+                    math.inf, 0)[0] if include_noop else [])
     for k, i in enumerate(good):
         chunk = results[k * len(lams):(k + 1) * len(lams)]
         candidates = sorted([r for r in chunk if isinstance(r, TapCandidate)]
@@ -554,7 +544,7 @@ def repair_on_rejection_batch(model: DenseClassifier, verifier, cal,
     d = len(schema.features)
     xs = _individuals(model, schema, target, np.reshape(
         [schema.check_vector(c.x) for c in rejected], (len(rejected), d)))
-    out = [_origin_error(schema, x) for x in xs]
+    out = _origin_errors(schema, xs)
     good = [i for i, err in enumerate(out) if err is None]
     if not good:
         return out

@@ -5,13 +5,16 @@ grid search over the one free coordinate, the k>=3 oracle hands the
 constrained minimization to scipy's SLSQP, gradients come from central
 differences, and the probability-bound arithmetic is redone in mpmath.
 The per-row descent oracle is the one-vector-at-a-time search that the
-batched kernel replaced, built only from the scalar layer functions; the
-per-row attack oracle is the one-point-at-a-time l2 attack that the
-row-batched attack replaced.  Both run the network through the single-row
-forward and backward passes below, which the row-exact batched layers
-replaced, and price through the scalar closed-form distance and cost model
-below, which the one-row views of the batched layers replaced, so they
-never check a batched layer against a view of itself.
+batched kernel replaced; the per-row attack oracle is the
+one-point-at-a-time l2 attack that the row-batched attack replaced.  Both
+run the network through the single-row forward and backward passes below,
+which the row-exact batched layers replaced, and price through the scalar
+closed-form distance and cost model below.  The descent oracle also takes
+its penalties and its final rounding from the scalar box and group
+penalties, coherence test and ``row_cond`` below.  Every public single-row
+name is now a one-row view of a batched layer, so the ``row_*`` functions
+here are the deleted scalar bodies, kept as references: no batched layer
+is checked against a view of itself.
 """
 from __future__ import annotations
 
@@ -26,10 +29,7 @@ from tapgen.actionability import (
     FeatureSchema,
     PenaltyConfig,
     _resolve_group,
-    cond,
     cost_grad,
-    penalty_actionable,
-    penalty_coherence,
 )
 from tapgen.baselines import BaselineResult
 from tapgen.netcore import ForwardCache
@@ -287,6 +287,85 @@ def row_cost(x: np.ndarray, x_tilde: np.ndarray, cm: CostModel,
     return total
 
 
+def row_penalty_actionable(x_tilde: np.ndarray, schema: FeatureSchema,
+                           pc: PenaltyConfig,
+                           box: tuple[np.ndarray, np.ndarray] | None = None
+                           ) -> tuple[float, np.ndarray]:
+    """Hinge penalty on leaving the actionable box; returns (value, gradient)."""
+    x_tilde = schema.check_vector(x_tilde)
+    lo, hi = box if box is not None else (schema.lower_bounds, schema.upper_bounds)
+    over = np.maximum(0.0, x_tilde - hi)
+    under = np.maximum(0.0, lo - x_tilde)
+    value = pc.actionable_weight * float((over + under).sum())
+    grad = pc.actionable_weight * (
+        (x_tilde > hi).astype(float) - (x_tilde < lo).astype(float)
+    )
+    return value, grad
+
+
+def row_penalty_coherence(x_tilde: np.ndarray, schema: FeatureSchema,
+                          pc: PenaltyConfig) -> tuple[float, np.ndarray]:
+    """Squared drift of each one-hot group's mass from 1; (value, gradient)."""
+    x_tilde = schema.check_vector(x_tilde)
+    value = 0.0
+    grad = np.zeros_like(x_tilde)
+    for idx in schema.onehot_groups.values():
+        members = list(idx)
+        drift = 1.0 - float(x_tilde[members].sum())
+        value += pc.coherence_weight * drift * drift
+        grad[members] += -2.0 * pc.coherence_weight * drift
+    return value, grad
+
+
+def row_is_coherent(schema: FeatureSchema, x: np.ndarray,
+                    tol: float = 1e-9) -> bool:
+    """Integral/boolean values where required, exactly one hot per group."""
+    x = schema.check_vector(x)
+    for i, f in enumerate(schema.features):
+        if f.kind == "integer" and abs(x[i] - round(x[i])) > tol:
+            return False
+        if f.kind in ("boolean", "onehot") and (
+            abs(x[i]) > tol and abs(x[i] - 1.0) > tol
+        ):
+            return False
+    for idx in schema.onehot_groups.values():
+        if abs(float(x[list(idx)].sum()) - 1.0) > tol:
+            return False
+    return True
+
+
+def row_cond(x_tilde: np.ndarray, schema: FeatureSchema,
+             box: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Snap a relaxed candidate onto the coherent set inside the box.
+
+    Numerics clip, integers round half away from zero then clip, booleans
+    round to the nearer admissible end, and each one-hot group activates its
+    largest admissible member (ties to the lowest index).  Idempotent.
+    """
+    x_tilde = schema.check_vector(x_tilde).copy()
+    lo, hi = box if box is not None else (schema.lower_bounds, schema.upper_bounds)
+    for i, f in enumerate(schema.features):
+        if f.kind == "onehot":
+            continue
+        v = x_tilde[i]
+        if f.kind in ("integer", "boolean"):
+            v = float(np.copysign(np.floor(abs(v) + 0.5), v))
+        x_tilde[i] = min(max(v, lo[i]), hi[i])
+    for idx in schema.onehot_groups.values():
+        members = list(idx)
+        forced = [i for i in members if lo[i] >= 1.0]
+        eligible = [i for i in members if hi[i] >= 1.0]
+        if forced:
+            winner = forced[0]
+        elif eligible:
+            winner = eligible[int(np.argmax(x_tilde[eligible]))]
+        else:
+            winner = members[int(np.argmax(x_tilde[members]))]
+        x_tilde[members] = 0.0
+        x_tilde[winner] = 1.0
+    return x_tilde
+
+
 def per_row_candidate(model, schema, cm, target: TargetSet, x: np.ndarray,
                       oc: OptConfig, div: DivergenceSpec | None = None,
                       penalty: PenaltyConfig | None = None
@@ -295,7 +374,7 @@ def per_row_candidate(model, schema, cm, target: TargetSet, x: np.ndarray,
 
     Same schedule as the batched search: cost muted for the first half,
     best full-objective iterate kept, patience stop after warmup, dust
-    snapped back, rounded by cond.  A diverged run returns None.
+    snapped back, rounded by row_cond.  A diverged run returns None.
     """
     div = div if div is not None else kl_divergence()
     penalty = penalty if penalty is not None else PenaltyConfig()
@@ -312,8 +391,9 @@ def per_row_candidate(model, schema, cm, target: TargetSet, x: np.ndarray,
         dist = row_target_distance(cache.probs, target, div)
         grad_dist = row_input_gradient(model, cache, target_distance_grad(
             cache.probs, target, div))
-        box_val, box_grad = penalty_actionable(x_now, schema, penalty, (lo, hi))
-        grp_val, grp_grad = penalty_coherence(x_now, schema, penalty)
+        box_val, box_grad = row_penalty_actionable(x_now, schema, penalty,
+                                                   (lo, hi))
+        grp_val, grp_grad = row_penalty_coherence(x_now, schema, penalty)
         value = (dist + oc.lam * row_cost(x, x_now, cm, schema) + box_val
                  + grp_val)
         step_grad = (grad_dist + lam_eff * cost_grad(x, x_now, cm, schema)
@@ -353,7 +433,7 @@ def per_row_candidate(model, schema, cm, target: TargetSet, x: np.ndarray,
     moved = best_u.copy()
     dust = np.abs(moved - u_origin) < oc.snap_tol
     moved[dust] = u_origin[dust]
-    x_tilde = cond(moved * std + mean, schema, (lo, hi))
+    x_tilde = row_cond(moved * std + mean, schema, (lo, hi))
     epsilon = float(row_cost(x, x_tilde, cm, schema))
     delta = float(row_target_distance(row_forward(model, x_tilde).probs,
                                       target, div))

@@ -5,7 +5,11 @@ stands in for during descent, for a batch of one as for a permuted batch.
 The network layers are checked against the single-row passes they
 replaced (``oracles.row_forward``, ``oracles.row_input_gradient``), the
 distance and the cost against the scalar closed form and term loop they
-replaced (``oracles.row_target_distance``, ``oracles.row_cost``).  The
+replaced (``oracles.row_target_distance``, ``oracles.row_cost``), and the
+penalties, the coherence test and the rounding against the scalar bodies
+they replaced (``oracles.row_penalty_actionable``,
+``oracles.row_penalty_coherence``, ``oracles.row_is_coherent``,
+``oracles.row_cond``).  The
 batched frontier sweep must agree with the per-row search it replaced
 (``oracles.per_row_candidate``) on the full-size benchmark problem, and the
 row-batched l2 attack bit for bit with the per-point attack it replaced
@@ -22,9 +26,13 @@ from oracles import (
     per_row_candidate,
     per_row_cw,
     random_target_set,
+    row_cond,
     row_cost,
     row_forward,
     row_input_gradient,
+    row_is_coherent,
+    row_penalty_actionable,
+    row_penalty_coherence,
     row_target_distance,
 )
 from tapgen.actionability import (
@@ -35,6 +43,7 @@ from tapgen.actionability import (
     PenaltyConfig,
     TriggerTerm,
     cond,
+    cond_batch,
     cost_batch,
     cost_grad,
     penalties_batch,
@@ -62,7 +71,7 @@ from tapgen.perturb import (
     repair_on_rejection,
     repair_on_rejection_batch,
 )
-from tapgen.presets import adult_income_preset
+from tapgen.presets import adult_income_preset, get_preset
 from tapgen.probspace import (
     TargetSet,
     chi_square_divergence,
@@ -168,8 +177,8 @@ def check_penalty_rows(schema, x, x_tilde, pc=PenaltyConfig()):
     for i, (origin, row) in enumerate(zip(row_origins(x, len(x_tilde)),
                                           x_tilde)):
         box = schema.box_for(origin)
-        box_val, box_grad = penalty_actionable(row, schema, pc, box)
-        grp_val, grp_grad = penalty_coherence(row, schema, pc)
+        box_val, box_grad = row_penalty_actionable(row, schema, pc, box)
+        grp_val, grp_grad = row_penalty_coherence(row, schema, pc)
         np.testing.assert_allclose(value[i], box_val + grp_val, **TOL)
         np.testing.assert_allclose(grad[i], box_grad + grp_grad, **TOL)
     return value, grad
@@ -324,6 +333,121 @@ def test_cond_idempotent_on_random_schemas(schema, seed):
     for box in (None, schema.box_for(origin)):
         once = cond(draw(), schema, box)
         assert np.array_equal(cond(once, schema, box), once)
+
+
+PRESETS = ("adult_income", "law_school", "diabetes", "german_credit")
+
+
+def relaxed_rows(schema, rng, n):
+    """n relaxed points around the bounds: some on a 0.5 grid (ties and
+    halves) and some at signed zeros, where rounding and clipping can
+    flip a sign."""
+    lo = np.where(np.isfinite(schema.lower_bounds), schema.lower_bounds, -10.0)
+    hi = np.where(np.isfinite(schema.upper_bounds), schema.upper_bounds, 10.0)
+    x = lo - 3.0 + (hi - lo + 6.0) * rng.random((n, lo.size))
+    roll = rng.random(x.shape)
+    x = np.where(roll < 0.3, np.round(2.0 * x) / 2.0, x)
+    x = np.where(roll > 0.9, np.where(roll > 0.95, -0.0, 0.0), x)
+    return np.where((roll > 0.85) & (roll <= 0.9), -0.3, x)
+
+
+def random_boxes(schema, rng, n):
+    """Per-row boxes at coherent origins (immutables pinned), with random
+    one-hot members forced on (lower bound 1) or ruled out (upper bound 0)."""
+    origins = np.array([row_cond(row, schema)
+                        for row in relaxed_rows(schema, rng, n)])
+    lo, hi = (b.copy() for b in schema.box_for(origins))
+    onehot = np.array([f.kind == "onehot" for f in schema.features])
+    roll = rng.random(lo.shape)
+    lo[onehot & (roll < 0.15)] = 1.0
+    hi[onehot & (roll > 0.7)] = 0.0
+    return origins, (lo, hi)
+
+
+def check_cond_rows(schema, x, box=None):
+    """cond_batch and cond against the scalar body, signed zeros included."""
+    got = cond_batch(x, schema, box)
+    for i, row in enumerate(x):
+        row_box = (None if box is None else
+                   tuple(np.broadcast_to(b, x.shape)[i] for b in box))
+        want = row_cond(row, schema, row_box)
+        for out in (got[i], cond(row, schema, row_box)):
+            assert np.array_equal(out, want)
+            assert np.array_equal(np.signbit(out), np.signbit(want))
+    return got
+
+
+def check_coherence_rows(schema, x, box):
+    """coherent_rows and the penalty views against the scalar bodies."""
+    assert schema.coherent_rows(x).tolist() == [
+        row_is_coherent(schema, row) for row in x]
+    pc = PenaltyConfig(actionable_weight=3.0, coherence_weight=7.0)
+    for i, row in enumerate(x):
+        row_box = (box[0][i], box[1][i])
+        for got, want in ((penalty_actionable(row, schema, pc, row_box),
+                           row_penalty_actionable(row, schema, pc, row_box)),
+                          (penalty_actionable(row, schema, pc),
+                           row_penalty_actionable(row, schema, pc)),
+                          (penalty_coherence(row, schema, pc),
+                           row_penalty_coherence(row, schema, pc))):
+            np.testing.assert_allclose(got[0], want[0], **TOL)
+            np.testing.assert_allclose(got[1], want[1], **TOL)
+
+
+class TestActionabilityMatchesScalar:
+    @PROPERTY
+    @given(schema=schemas(), seed=SEEDS, n=st.integers(1, 12))
+    def test_cond_on_random_schemas(self, schema, seed, n):
+        rng = np.random.default_rng(seed)
+        x = relaxed_rows(schema, rng, n)
+        origins, box = random_boxes(schema, rng, n)
+        check_cond_rows(schema, x)
+        check_cond_rows(schema, x, box)
+        check_cond_rows(schema, x, schema.box_for(origins[0]))
+        check_coherence_rows(schema, np.vstack([x, origins]),
+                             tuple(np.vstack([b, b]) for b in box))
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_cond_on_presets(self, name):
+        schema, _ = get_preset(name)
+        rng = np.random.default_rng(sum(map(ord, name)))
+        x = relaxed_rows(schema, rng, 400)
+        origins, box = random_boxes(schema, rng, 400)
+        check_cond_rows(schema, x)
+        snapped = check_cond_rows(schema, x, box)
+        assert np.array_equal(cond_batch(snapped, schema, box), snapped)
+        assert schema.coherent_rows(origins).all()
+        check_coherence_rows(schema, np.vstack([x, origins, snapped]),
+                             tuple(np.vstack([b, b, b]) for b in box))
+
+    def test_cond_non_finite_group_values(self):
+        # -inf and NaN members: the mask must not hand the win to a member
+        # that cannot be chosen
+        schema = FeatureSchema(tuple(
+            Feature(f"g{j}", "onehot", 0.0, 1.0, group="g") for j in range(3)))
+        lo, hi = np.zeros((4, 3)), np.array([[0.0, 1.0, 1.0]] * 4)
+        x = np.array([[-np.inf, -np.inf, -np.inf], [np.nan, -np.inf, np.nan],
+                      [np.inf, -np.inf, 0.5], [0.2, np.nan, np.inf]])
+        check_cond_rows(schema, x, (lo, hi))
+        assert cond_batch(x, schema, (lo, hi))[0].tolist() == [0.0, 1.0, 0.0]
+
+    def test_cond_batch_checks_shapes(self):
+        schema, _ = adult_income_preset()
+        d = len(schema.features)
+        for bad in (np.zeros(d), np.zeros((2, d + 1))):
+            with pytest.raises(ValueError):
+                cond_batch(bad, schema)
+            with pytest.raises(ValueError):
+                schema.coherent_rows(bad)
+        assert cond_batch(np.zeros((0, d)), schema).shape == (0, d)
+
+    def test_non_finite_entries_are_not_coherent(self):
+        schema, _ = adult_income_preset()
+        x = np.array([row_cond(row, schema) for row in relaxed_rows(
+            schema, np.random.default_rng(0), 3)])
+        i = [f.kind for f in schema.features].index("integer")
+        x[0, i], x[1, i] = np.nan, np.inf
+        assert schema.coherent_rows(x).tolist() == [False, False, True]
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +690,12 @@ class TestOnePricingPath:
             want = [_priced(result.model, schema, cm, target, div, c.x,
                             c.x_tilde, c.lam, c.iterations) for c in cands]
             for rows in batches(len(cands)):
-                got = _price(result.model, schema, cm, target, div, x[rows],
-                             x_tilde[rows], lams[rows], iterations[rows])
+                got, probs = _price(result.model, schema, cm, target, div,
+                                    x[rows], x_tilde[rows], lams[rows],
+                                    iterations[rows])
                 assert len(got) == len(rows)
+                assert np.array_equal(probs, forward_cache_batch(
+                    result.model, x_tilde[rows]).probs)
                 for i, g in zip(rows, got):
                     w = want[i]
                     assert np.array_equal(g.x, w.x)

@@ -309,6 +309,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    def test_bad_penalty_weight_is_2(self, tmp_path, capsys):
+        # json reads NaN and Infinity; a negative weight is as bad
+        for weight in (-5.0, math.nan, math.inf):
+            doc = small_doc()
+            doc["penalty"] = {"actionable_weight": weight}
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(doc))
+            rc = main(["train", "--config", str(path), "--out", str(tmp_path)])
+            assert rc == EXIT_CONFIG
+            assert "actionable_weight" in capsys.readouterr().err
+
     def test_missing_individual_is_2(self, ws, tmp_path):
         rc = main(["generate", "--config", ws["config"],
                    "--model", ws["model"], "--out", str(tmp_path)])

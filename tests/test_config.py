@@ -224,6 +224,25 @@ class TestRejections:
         with pytest.raises(ConfigError, match="three fractions"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("key", ["actionable_weight", "coherence_weight"])
+    @pytest.mark.parametrize("weight", [-5.0, math.nan, math.inf])
+    def test_penalty_weight_finite_nonnegative(self, key, weight):
+        doc = base()
+        doc.setdefault("penalty", {})[key] = weight
+        with pytest.raises(ConfigError, match=f"penalty: {key}"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("opt", "lr", "fast"), ("opt", "max_iters", 1.5),
+        ("penalty", "actionable_weight", True)])
+    def test_bad_number_is_named_once(self, section, key, value):
+        # the key's own message, not wrapped again by its section's check
+        doc = base()
+        doc.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert str(info.value).startswith(f"config: {section}.{key} must be")
+
     def test_hidden_dims_positive_integers(self):
         doc = base()
         doc["model"]["hidden_dims"] = [60, 0]
