@@ -31,8 +31,10 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     SchemaMismatchError,
+    default_synthetic_config,
     load_config,
     load_dataset,
+    parse_config,
 )
 from .netcore import (
     DenseClassifier,
@@ -121,11 +123,7 @@ def _load_config_arg(args) -> tuple[ExperimentConfig, str]:
     if args.seed is not None:
         if args.seed < 0:
             raise ConfigError("--seed must be non-negative")
-        cfg = dataclasses.replace(
-            cfg, seed=args.seed,
-            train=dataclasses.replace(cfg.train, seed=args.seed),
-            opt=dataclasses.replace(cfg.opt, seed=args.seed),
-        )
+        cfg = parse_config({**cfg.raw, "seed": args.seed}, cfg.base_dir)
     return cfg, text
 
 
@@ -597,8 +595,27 @@ def _bench_config(cfg: ExperimentConfig | None, seed: int | None
                   ) -> BenchmarkConfig:
     if cfg is None:
         return BenchmarkConfig(seed=seed if seed is not None else 0)
-    kwargs = dict(
+    # the benchmark runs one fixed problem: a config may tune how it runs,
+    # but a config for another problem must not quietly run this one
+    canon = parse_config(default_synthetic_config())
+    mine, spec = cfg.dataset.synthetic, canon.dataset.synthetic
+    same = {
+        "dataset": mine is not None and all(
+            np.array_equal(getattr(mine, key), getattr(spec, key))
+            for key in ("means", "variances", "priors")),
+        "schema": cfg.schema == canon.schema,
+        "cost": cfg.cost == canon.cost,
+        "target": cfg.target == canon.target,
+        "divergence": cfg.divergence_name == canon.divergence_name,
+    }
+    differs = [name for name, ok in same.items() if not ok]
+    if differs:
+        raise ConfigError(
+            f"config: bench-synthetic runs only the canonical synthetic "
+            f"problem; this config's {differs[0]} differs from it")
+    return BenchmarkConfig(
         seed=cfg.seed,
+        n_samples=cfg.dataset.n_samples,
         lambdas=cfg.lambdas,
         delta_thresholds=cfg.delta_thresholds,
         epsilon_budgets=cfg.epsilon_budgets,
@@ -610,12 +627,6 @@ def _bench_config(cfg: ExperimentConfig | None, seed: int | None
         patience=cfg.train.patience,
         opt_iters=cfg.opt.max_iters,
     )
-    if cfg.dataset.is_synthetic:
-        kwargs["n_samples"] = cfg.dataset.n_samples
-    try:
-        return BenchmarkConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"config: bench: {exc}") from None
 
 
 def _cmd_bench_synthetic(args) -> int:

@@ -18,7 +18,7 @@ import csv as _csv
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,11 @@ from .netcore import TrainConfig
 from .perturb import OptConfig
 from .probspace import DivergenceSpec, TargetSet, get_divergence
 from .rng import substream
-from .synthetic import SyntheticSpec, sample_synthetic
+from .synthetic import (
+    SyntheticSpec,
+    canonical_benchmark_spec,
+    sample_synthetic,
+)
 
 __all__ = [
     "ConfigError",
@@ -78,6 +82,12 @@ class VerificationConfig:
     rate: float = 0.10
     calibration_pairs: int = 5000
     verifier_pairs: int = 20_000
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.rate <= 1.0:
+            raise ValueError("rate must lie in [0, 1]")
+        if self.calibration_pairs < 1 or self.verifier_pairs < 1:
+            raise ValueError("pair counts must be positive")
 
 
 @dataclass(frozen=True)
@@ -139,38 +149,52 @@ def _reject_unknown(sec: dict, where: str, known: set[str]) -> None:
         raise ConfigError(f"config: unknown key {extra[0]!r} in {where}")
 
 
-def _num(sec: dict, where: str, key: str, default=None) -> float:
+_KINDS = {float: ((int, float), "a number"), int: (int, "an integer"),
+          str: (str, "a string"), bool: (bool, "a boolean"),
+          list: (list, "a list"), dict: (dict, "an object")}
+
+
+def _read(sec: dict, where: str, key: str, kind=float, default=None):
+    """sec[key], or default when absent, checked to be of kind: float, int,
+    str, bool, list or dict."""
     value = sec.get(key, default)
     if value is None:
         raise ConfigError(f"config: {where}.{key} is required")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config: {where}.{key} must be a number")
-    return float(value)
+    types, name = _KINDS[kind]
+    # bool is an int to Python, but not a number to a config
+    if (isinstance(value, bool) != (kind is bool)
+            or not isinstance(value, types)):
+        raise ConfigError(f"config: {where}.{key} must be {name}")
+    if value != value:   # JSON readers accept NaN; no setting means it
+        raise ConfigError(f"config: {where}: {key} must not be NaN")
+    return kind(value)
 
 
-def _int(sec: dict, where: str, key: str, default=None) -> int:
-    value = sec.get(key, default)
-    if value is None:
-        raise ConfigError(f"config: {where}.{key} is required")
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"config: {where}.{key} must be an integer")
-    return value
+def _defaults(cls) -> dict:
+    """Each section key of the config dataclass cls -- every field but seed,
+    which only the top level sets -- mapped to its default."""
+    return {f.name: f.default for f in fields(cls) if f.name != "seed"}
 
 
-def _str(sec: dict, where: str, key: str, default=None) -> str:
-    value = sec.get(key, default)
-    if value is None:
-        raise ConfigError(f"config: {where}.{key} is required")
-    if not isinstance(value, str):
-        raise ConfigError(f"config: {where}.{key} must be a string")
-    return value
+def _fields(sec: dict, where: str, cls, **given):
+    """The config dataclass cls read from the section sec: each key of
+    :func:`_defaults` that is not given is read with its field's int or
+    float type."""
+    defaults = _defaults(cls)
+    _reject_unknown(sec, where, set(defaults))
+    read = {f.name: _read(sec, where, f.name,
+                          int if f.type in ("int", int) else float, f.default)
+            for f in fields(cls) if f.name in defaults and f.name not in given}
+    with _invalid(where):
+        return cls(**read, **given)
 
 
 def _budget(value, where: str) -> float:
     # epsilon budgets may be the string "inf"; JSON itself has no infinity
     if value == "inf":
         return math.inf
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or math.isnan(value)):
         raise ConfigError(f'config: {where} must be a number or "inf"')
     return float(value)
 
@@ -188,19 +212,16 @@ def _parse_schema(doc: dict) -> FeatureSchema:
             raise ConfigError(f"config: {where} must be an object")
         _reject_unknown(rf, where, {"name", "kind", "lower", "upper",
                                     "mutable", "group", "category"})
-        kind = _str(rf, where, "kind", "numeric")
+        kind = _read(rf, where, "kind", str, "numeric")
         # encoded indicators live on [0, 1]; only ranged kinds need bounds
         default_bounds = (0.0, 1.0) if kind in ("boolean", "onehot") else (None, None)
-        mutable = rf.get("mutable", True)
-        if not isinstance(mutable, bool):
-            raise ConfigError(f"config: {where}.mutable must be a boolean")
         with _invalid(where):
             feats.append(Feature(
-                name=_str(rf, where, "name"),
+                name=_read(rf, where, "name", str),
                 kind=kind,
-                lower=_num(rf, where, "lower", default_bounds[0]),
-                upper=_num(rf, where, "upper", default_bounds[1]),
-                mutable=mutable,
+                lower=_read(rf, where, "lower", float, default_bounds[0]),
+                upper=_read(rf, where, "upper", float, default_bounds[1]),
+                mutable=_read(rf, where, "mutable", bool, True),
                 group=rf.get("group"),
                 category=rf.get("category"),
             ))
@@ -210,7 +231,7 @@ def _parse_schema(doc: dict) -> FeatureSchema:
     with _invalid("schema"):
         return FeatureSchema(
             features=tuple(feats),
-            label_column=_str(sec, "schema", "label_column", "label"),
+            label_column=_read(sec, "schema", "label_column", str, "label"),
             class_labels=tuple(labels),
         )
 
@@ -219,51 +240,48 @@ def _parse_cost(doc: dict, schema: FeatureSchema) -> CostModel:
     sec = _section(doc, "cost", required=False)
     _reject_unknown(sec, "cost", {"quadratic", "linear", "transitions", "triggers"})
 
+    def terms(key: str, known: set[str]):
+        """(where, term) for each term object of the list cost.<key>."""
+        for i, term in enumerate(_read(sec, "cost", key, list, [])):
+            where = f"cost.{key}[{i}]"
+            if not isinstance(term, dict):
+                raise ConfigError(f"config: {where} must be an object")
+            _reject_unknown(term, where, known)
+            yield where, term
+
     def feature_ref(term: dict, where: str) -> str:
-        name = _str(term, where, "feature")
+        name = _read(term, where, "feature", str)
         if name not in schema.names:
             raise ConfigError(
                 f"config: {where} references unknown feature {name!r}")
         return name
 
-    quad, lin, trans, trig = [], [], [], []
-    for i, term in enumerate(sec.get("quadratic", [])):
-        where = f"cost.quadratic[{i}]"
-        _reject_unknown(term, where, {"feature", "weight"})
-        quad.append(QuadraticTerm(feature_ref(term, where),
-                                  _num(term, where, "weight")))
-    for i, term in enumerate(sec.get("linear", [])):
-        where = f"cost.linear[{i}]"
-        _reject_unknown(term, where, {"feature", "weight"})
-        lin.append(LinearTerm(feature_ref(term, where),
-                              _num(term, where, "weight")))
-    for i, term in enumerate(sec.get("transitions", [])):
-        where = f"cost.transitions[{i}]"
-        _reject_unknown(term, where, {"group", "matrix", "units"})
-        group = _str(term, where, "group")
+    weighted = {}
+    for key, cls in (("quadratic", QuadraticTerm), ("linear", LinearTerm)):
+        weighted[key] = tuple(
+            cls(feature_ref(term, where), _read(term, where, "weight"))
+            for where, term in terms(key, {"feature", "weight"}))
+    trans = []
+    for where, term in terms("transitions", {"group", "matrix", "units"}):
+        group = _read(term, where, "group", str)
         members = schema.onehot_groups.get(group)
         if members is None:
             raise ConfigError(
                 f"config: {where} references unknown one-hot group {group!r}")
-        matrix = term.get("matrix")
-        if not isinstance(matrix, list):
-            raise ConfigError(f"config: {where}.matrix must be a numeric block")
+        matrix = _read(term, where, "matrix", list)
         with _invalid(where):
             tt = TransitionTerm(group, np.array(matrix, dtype=float),
-                                units=_str(term, where, "units", ""))
+                                units=_read(term, where, "units", str, ""))
         if tt.matrix.shape[0] != len(members):
             raise ConfigError(
                 f"config: {where}.matrix is {tt.matrix.shape[0]}x"
                 f"{tt.matrix.shape[1]} but group {group!r} has "
                 f"{len(members)} members")
         trans.append(tt)
-    for i, term in enumerate(sec.get("triggers", [])):
-        where = f"cost.triggers[{i}]"
-        _reject_unknown(term, where, {"feature", "cost_on"})
-        trig.append(TriggerTerm(feature_ref(term, where),
-                                _num(term, where, "cost_on")))
-    return CostModel(quadratic=tuple(quad), linear=tuple(lin),
-                     transitions=tuple(trans), triggers=tuple(trig))
+    triggers = tuple(
+        TriggerTerm(feature_ref(term, where), _read(term, where, "cost_on"))
+        for where, term in terms("triggers", {"feature", "cost_on"}))
+    return CostModel(**weighted, transitions=tuple(trans), triggers=triggers)
 
 
 def _parse_target(doc: dict, schema: FeatureSchema) -> TargetSet:
@@ -274,11 +292,8 @@ def _parse_target(doc: dict, schema: FeatureSchema) -> TargetSet:
             "config: target needs schema.class_labels to resolve its classes")
 
     def resolve(key: str) -> tuple[int, ...]:
-        labels = sec.get(key, [])
-        if not isinstance(labels, list):
-            raise ConfigError(f"config: target.{key} must be a list of labels")
         out = []
-        for label in labels:
+        for label in _read(sec, "target", key, list, []):
             if label not in schema.class_labels:
                 raise ConfigError(
                     f"config: target.{key} references unknown class label "
@@ -291,24 +306,20 @@ def _parse_target(doc: dict, schema: FeatureSchema) -> TargetSet:
             num_classes=len(schema.class_labels),
             desirable=resolve("desirable"),
             undesirable=resolve("undesirable"),
-            p=_num(sec, "target", "p"),
-            q=_num(sec, "target", "q"),
+            p=_read(sec, "target", "p"),
+            q=_read(sec, "target", "q"),
         )
 
 
 def _parse_dataset(doc: dict, schema: FeatureSchema) -> DatasetConfig:
     sec = _section(doc, "dataset")
     _reject_unknown(sec, "dataset", {"csv", "synthetic", "n_samples"})
-    has_csv = "csv" in sec
-    has_syn = "synthetic" in sec
-    if has_csv == has_syn:
+    if ("csv" in sec) == ("synthetic" in sec):
         raise ConfigError(
             'config: dataset needs exactly one of "csv" or "synthetic"')
-    if has_csv:
-        return DatasetConfig(csv_path=_str(sec, "dataset", "csv"))
-    syn = sec["synthetic"]
-    if not isinstance(syn, dict):
-        raise ConfigError("config: dataset.synthetic must be an object")
+    if "csv" in sec:
+        return DatasetConfig(csv_path=_read(sec, "dataset", "csv", str))
+    syn = _read(sec, "dataset", "synthetic", dict)
     _reject_unknown(syn, "dataset.synthetic", {"means", "variances", "priors"})
     with _invalid("dataset.synthetic"):
         spec = SyntheticSpec(
@@ -324,7 +335,7 @@ def _parse_dataset(doc: dict, schema: FeatureSchema) -> DatasetConfig:
         raise ConfigError(
             f"config: dataset.synthetic has {spec.means.shape[0]} components "
             f"but the schema lists {len(schema.class_labels)} class labels")
-    n = _int(sec, "dataset", "n_samples")
+    n = _read(sec, "dataset", "n_samples", int)
     if n < 10:
         raise ConfigError("config: dataset.n_samples must be at least 10")
     return DatasetConfig(synthetic=spec, n_samples=n)
@@ -341,10 +352,10 @@ def parse_config(doc: dict, base_dir: str = ".") -> ExperimentConfig:
         raise ConfigError("config: top level must be a JSON object")
     _reject_unknown(doc, "the top level", _TOP_KEYS)
 
-    seed = _int(doc, "config", "seed", 0)
+    seed = _read(doc, "config", "seed", int, 0)
     if seed < 0:
         raise ConfigError("config: seed must be non-negative")
-    divergence_name = _str(doc, "config", "divergence", "kl")
+    divergence_name = _read(doc, "config", "divergence", str, "kl")
     with _invalid("divergence"):
         get_divergence(divergence_name)
 
@@ -360,45 +371,17 @@ def parse_config(doc: dict, base_dir: str = ".") -> ExperimentConfig:
             or not all(isinstance(h, int) and not isinstance(h, bool)
                        and h > 0 for h in hidden)):
         raise ConfigError("config: model.hidden_dims must be positive integers")
-    dropout = _num(model_sec, "model", "dropout", 0.0)
-    train_sec = model_sec.get("train", {})
-    _reject_unknown(train_sec, "model.train",
-                    {"learning_rate", "batch_size", "max_epochs", "patience",
-                     "split"})
+    dropout = _read(model_sec, "model", "dropout", float, 0.0)
+    if not 0.0 <= dropout < 1.0:
+        raise ConfigError("config: model.dropout must lie in [0, 1)")
+    train_sec = _read(model_sec, "model", "train", dict, {})
     split = train_sec.get("split", [0.8, 0.1, 0.1])
-    if not isinstance(split, list) or len(split) != 3:
+    if (not isinstance(split, list) or len(split) != 3
+            or not all(isinstance(s, (int, float)) and not isinstance(s, bool)
+                       and math.isfinite(s) for s in split)):
         raise ConfigError("config: model.train.split must be three fractions")
-    with _invalid("model.train"):
-        train = TrainConfig(
-            learning_rate=_num(train_sec, "model.train", "learning_rate", 1e-3),
-            batch_size=_int(train_sec, "model.train", "batch_size", 32),
-            max_epochs=_int(train_sec, "model.train", "max_epochs", 200),
-            patience=_int(train_sec, "model.train", "patience", 20),
-            split=tuple(float(s) for s in split),
-            seed=seed,
-        )
-
-    pen_sec = _section(doc, "penalty", required=False)
-    _reject_unknown(pen_sec, "penalty", {"actionable_weight", "coherence_weight"})
-    with _invalid("penalty"):
-        penalty = PenaltyConfig(
-            actionable_weight=_num(pen_sec, "penalty", "actionable_weight", 1000.0),
-            coherence_weight=_num(pen_sec, "penalty", "coherence_weight", 1000.0),
-        )
-
-    opt_sec = _section(doc, "opt", required=False)
-    _reject_unknown(opt_sec, "opt",
-                    {"lam", "lr", "max_iters", "tol", "patience", "snap_tol"})
-    with _invalid("opt"):
-        opt = OptConfig(
-            lam=_num(opt_sec, "opt", "lam", 1.0),
-            lr=_num(opt_sec, "opt", "lr", 0.05),
-            max_iters=_int(opt_sec, "opt", "max_iters", 500),
-            tol=_num(opt_sec, "opt", "tol", 1e-6),
-            patience=_int(opt_sec, "opt", "patience", 10),
-            snap_tol=_num(opt_sec, "opt", "snap_tol", 1e-6),
-            seed=seed,
-        )
+    train = _fields(train_sec, "model.train", TrainConfig,
+                    split=tuple(float(s) for s in split), seed=seed)
 
     sweep_sec = _section(doc, "sweep", required=False)
     _reject_unknown(sweep_sec, "sweep", {"lambdas"})
@@ -414,34 +397,24 @@ def parse_config(doc: dict, base_dir: str = ".") -> ExperimentConfig:
                 f"config: sweep.lambdas[{i}] must be finite and non-negative")
         lambdas.append(float(lam))
 
-    ver_sec = _section(doc, "verification", required=False)
-    _reject_unknown(ver_sec, "verification",
-                    {"rate", "calibration_pairs", "verifier_pairs"})
-    rate = _num(ver_sec, "verification", "rate", 0.10)
-    if not (0.0 <= rate <= 1.0):
-        raise ConfigError("config: verification.rate must lie in [0, 1]")
-    cal_pairs = _int(ver_sec, "verification", "calibration_pairs", 5000)
-    ver_pairs = _int(ver_sec, "verification", "verifier_pairs", 20_000)
-    if cal_pairs < 1 or ver_pairs < 1:
-        raise ConfigError("config: verification pair counts must be positive")
-
     bench_sec = _section(doc, "bench", required=False)
     _reject_unknown(bench_sec, "bench",
                     {"delta_thresholds", "epsilon_budgets", "max_individuals"})
     thresholds = tuple(
         _budget(v, f"bench.delta_thresholds[{i}]")
-        for i, v in enumerate(bench_sec.get("delta_thresholds", [0.0, 0.1, 0.5])))
+        for i, v in enumerate(_read(bench_sec, "bench", "delta_thresholds",
+                                    list, [0.0, 0.1, 0.5])))
     budgets = tuple(
         _budget(v, f"bench.epsilon_budgets[{i}]")
-        for i, v in enumerate(bench_sec.get("epsilon_budgets",
-                                            [1.0, 2.0, 4.0, 8.0, 16.0, "inf"])))
-    max_ind = _int(bench_sec, "bench", "max_individuals", 40)
+        for i, v in enumerate(_read(bench_sec, "bench", "epsilon_budgets",
+                                    list, [1.0, 2.0, 4.0, 8.0, 16.0, "inf"])))
+    max_ind = _read(bench_sec, "bench", "max_individuals", int, 40)
     if max_ind < 0:
         raise ConfigError("config: bench.max_individuals must be non-negative")
 
     return ExperimentConfig(
         seed=seed,
-        out_dir=_str(doc, "config", "out_dir", "runs"),
+        out_dir=_read(doc, "config", "out_dir", str, "runs"),
         divergence_name=divergence_name,
         dataset=dataset,
         schema=schema,
@@ -450,12 +423,13 @@ def parse_config(doc: dict, base_dir: str = ".") -> ExperimentConfig:
         hidden_dims=tuple(hidden),
         dropout=dropout,
         train=train,
-        penalty=penalty,
-        opt=opt,
+        penalty=_fields(_section(doc, "penalty", required=False), "penalty",
+                        PenaltyConfig),
+        opt=_fields(_section(doc, "opt", required=False), "opt", OptConfig,
+                    seed=seed),
         lambdas=tuple(lambdas),
-        verification=VerificationConfig(rate=rate,
-                                        calibration_pairs=cal_pairs,
-                                        verifier_pairs=ver_pairs),
+        verification=_fields(_section(doc, "verification", required=False),
+                             "verification", VerificationConfig),
         delta_thresholds=thresholds,
         epsilon_budgets=budgets,
         max_individuals=max_ind,
@@ -535,16 +509,14 @@ def _read_csv(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def default_synthetic_config() -> dict:
     """The benchmark problem as a config document, ready to dump or parse."""
+    spec = canonical_benchmark_spec()
     return {
         "seed": 0,
         "out_dir": "runs/synthetic",
         "divergence": "kl",
         "dataset": {
-            "synthetic": {
-                "means": [[-1.5, -1.5, 0.0, 0.0], [1.5, 1.5, 0.0, 0.0]],
-                "variances": [[1.0] * 4, [1.0] * 4],
-                "priors": [0.5, 0.5],
-            },
+            "synthetic": {key: getattr(spec, key).tolist()
+                          for key in ("means", "variances", "priors")},
             "n_samples": 4000,
         },
         "schema": {
@@ -569,12 +541,10 @@ def default_synthetic_config() -> dict:
                       "max_epochs": 60, "patience": 10,
                       "split": [0.8, 0.1, 0.1]},
         },
-        "penalty": {"actionable_weight": 1000.0, "coherence_weight": 1000.0},
-        "opt": {"lam": 1.0, "lr": 0.05, "max_iters": 500, "tol": 1e-6,
-                "patience": 10, "snap_tol": 1e-6},
+        "penalty": _defaults(PenaltyConfig),
+        "opt": _defaults(OptConfig),
         "sweep": {"lambdas": [0.0, *np.logspace(-4, 2, 20).tolist()]},
-        "verification": {"rate": 0.1, "calibration_pairs": 5000,
-                         "verifier_pairs": 20000},
+        "verification": _defaults(VerificationConfig),
         "bench": {"delta_thresholds": [0.0, 0.1, 0.5],
                   "epsilon_budgets": [1.0, 2.0, 4.0, 8.0, 16.0, "inf"],
                   "max_individuals": 40},

@@ -255,9 +255,10 @@ def _verified(model, verifier, cal, results) -> list:
 
 def _origin_errors(schema: FeatureSchema, xs: np.ndarray) -> list:
     """Why a search cannot start from each row of the (m, d) matrix xs, or
-    None where it can: an origin must be coherent and inside its box."""
-    lo, hi = schema.box_for(xs)
-    outside = np.any((xs < lo - 1e-9) | (xs > hi + 1e-9), axis=1)
+    None where it can: an origin must be coherent and inside the feature
+    bounds, immutable features included."""
+    outside = np.any((xs < schema.lower_bounds - 1e-9)
+                     | (xs > schema.upper_bounds + 1e-9), axis=1)
     return [None if ok and not out else ValueError(
                 "origin point lies outside the feature bounds" if ok else
                 "origin point is not coherent under the schema")

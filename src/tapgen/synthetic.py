@@ -42,6 +42,8 @@ class SyntheticSpec:
             raise ValueError("variances must match the shape of means")
         if priors.shape != (means.shape[0],):
             raise ValueError("need one prior weight per class")
+        if not all(np.isfinite(a).all() for a in (means, variances, priors)):
+            raise ValueError("mixture parameters must be finite")
         if np.any(variances <= 0.0):
             raise ValueError("variances must be strictly positive")
         if np.any(priors < 0.0) or abs(float(priors.sum()) - 1.0) > 1e-9:

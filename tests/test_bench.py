@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tapgen.actionability import CostModel, Feature, FeatureSchema, QuadraticTerm
 from tapgen.bench import (
     BenchmarkConfig,
     aggregate_success,
@@ -16,8 +17,10 @@ from tapgen.bench import (
     write_success_csv,
     emit_plots,
 )
+from tapgen.config import default_synthetic_config, parse_config
 from tapgen.netcore import predict_proba_batch
 from tapgen.perturb import FRONTIER_COLUMNS, CandidateRecord, TapCandidate
+from tapgen.probspace import TargetSet
 from tapgen.synthetic import canonical_benchmark_spec
 
 INF = math.inf
@@ -75,6 +78,21 @@ class TestAggregateSuccess:
         table = aggregate_success([], ("tap",), (0.5,), (INF,), 1)
         with pytest.raises(KeyError):
             table.rate("tap", 0.25, INF)
+
+
+class TestBenchmarkProblem:
+    def test_is_the_default_documents_problem(self):
+        cfg = parse_config(default_synthetic_config())
+        schema, cm, target = benchmark_problem()
+        assert (schema, cm, target) == (cfg.schema, cfg.cost, cfg.target)
+        # four unit-cost numeric axes on [-8, 8]; 80% class-1 mass wanted
+        feats = tuple(Feature(name=f"x{i}", kind="numeric", lower=-8.0,
+                              upper=8.0) for i in range(4))
+        assert schema == FeatureSchema(features=feats,
+                                       class_labels=("class0", "class1"))
+        assert cm == CostModel(quadratic=tuple(QuadraticTerm(f"x{i}", 1.0)
+                                               for i in range(4)))
+        assert target == TargetSet(2, (1,), (0,), 0.8, 0.2)
 
 
 class TestTrueImprovement:

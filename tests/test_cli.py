@@ -1,4 +1,5 @@
 """Command surface: artifacts, exit codes, manifests, byte-exact replay."""
+import argparse
 import json
 import math
 import shutil
@@ -14,6 +15,7 @@ from tapgen.cli import (
     EXIT_CONFIG,
     EXIT_MISSING_MODEL,
     EXIT_SCHEMA,
+    _load_config_arg,
     load_candidate,
     main,
     replay_manifest,
@@ -115,6 +117,11 @@ class TestTrainArtifacts:
         assert rc == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["seed"] == 9
+
+    def test_seed_override_reaches_train_and_opt(self, ws):
+        cfg, _ = _load_config_arg(argparse.Namespace(config=ws["config"],
+                                                     seed=9))
+        assert (cfg.seed, cfg.train.seed, cfg.opt.seed) == (9, 9, 9)
 
 
 class TestGenerate:
@@ -308,6 +315,31 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["model"].update(train=5),
+        lambda d: d["cost"].update(quadratic=5),
+        lambda d: d["cost"].update(quadratic=[5]),
+        lambda d: d["cost"].update(transitions=[5]),
+        lambda d: d["bench"].update(epsilon_budgets=5),
+        lambda d: d["bench"].update(epsilon_budgets=[math.nan]),
+        lambda d: d["model"].update(dropout=1.5),
+        # json reads NaN, so every number a config holds must refuse it
+        lambda d: d["opt"].update(lr=math.nan),
+        lambda d: d["opt"].update(tol=math.nan),
+        lambda d: d["model"]["train"].update(learning_rate=math.nan),
+        lambda d: d["dataset"]["synthetic"].update(priors=[math.nan, 0.5]),
+    ], ids=["train-section-int", "quadratic-int", "quadratic-term-int",
+            "transition-term-int", "budgets-int", "budget-nan", "dropout-1.5",
+            "lr-nan", "tol-nan", "learning-rate-nan", "prior-nan"])
+    def test_malformed_config_is_2(self, tmp_path, capsys, edit):
+        doc = small_doc()
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["train", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert one_error_line(capsys).startswith("error: config: ")
 
     def test_bad_penalty_weight_is_2(self, tmp_path, capsys):
         # json reads NaN and Infinity; a negative weight is as bad
@@ -536,6 +568,26 @@ class TestBenchCommand:
         # without a config the seed flag is the only knob
         assert _bench_config(None, 11).seed == 11
         assert _bench_config(None, None).seed == 0
+
+    @pytest.mark.parametrize("edit, setting", [
+        (lambda d: d.update(dataset={"csv": "rows.csv"}), "dataset"),
+        (lambda d: d["dataset"]["synthetic"].update(priors=[0.3, 0.7]),
+         "dataset"),
+        (lambda d: d["schema"]["features"][0].update(upper=9.0), "schema"),
+        (lambda d: d["cost"]["quadratic"][0].update(weight=2.0), "cost"),
+        (lambda d: d["target"].update(p=0.9, q=0.1), "target"),
+        (lambda d: d.update(divergence="chi2"), "divergence"),
+    ], ids=["csv", "priors", "bounds", "weight", "thresholds", "chi2"])
+    def test_config_for_another_problem_is_2(self, tmp_path, capsys, edit,
+                                             setting):
+        doc = small_doc()
+        edit(doc)
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["bench-synthetic", "--config", str(path),
+                   "--out", str(tmp_path / "bench")])
+        assert rc == EXIT_CONFIG
+        assert f"config's {setting} differs" in one_error_line(capsys)
 
 
 class TestConsoleEntry:

@@ -5,14 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from tapgen.actionability import PenaltyConfig
 from tapgen.config import (
     ConfigError,
     SchemaMismatchError,
+    VerificationConfig,
     default_synthetic_config,
     load_config,
     load_dataset,
     parse_config,
 )
+from tapgen.netcore import TrainConfig
+from tapgen.perturb import OptConfig
 
 
 def base():
@@ -77,6 +81,11 @@ class TestParseDefaults:
         assert cfg.opt.lam == 1.0
         assert len(cfg.lambdas) == 21
         assert cfg.verification.rate == 0.10
+        # the table-driven sections default to their dataclasses' defaults
+        assert cfg.train == TrainConfig()
+        assert cfg.penalty == PenaltyConfig()
+        assert cfg.opt == OptConfig()
+        assert cfg.verification == VerificationConfig()
 
 
 class TestRejections:
@@ -234,11 +243,16 @@ class TestRejections:
 
     @pytest.mark.parametrize("section, key, value", [
         ("opt", "lr", "fast"), ("opt", "max_iters", 1.5),
-        ("penalty", "actionable_weight", True)])
+        ("penalty", "actionable_weight", True),
+        ("model.train", "batch_size", 1.5),
+        ("verification", "calibration_pairs", "many")])
     def test_bad_number_is_named_once(self, section, key, value):
         # the key's own message, not wrapped again by its section's check
         doc = base()
-        doc.setdefault(section, {})[key] = value
+        sec = doc
+        for part in section.split("."):
+            sec = sec.setdefault(part, {})
+        sec[key] = value
         with pytest.raises(ConfigError) as info:
             parse_config(doc)
         assert str(info.value).startswith(f"config: {section}.{key} must be")

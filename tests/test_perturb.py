@@ -189,6 +189,17 @@ class TestGenerateCandidate:
             generate_candidate(bench_model, schema, bench_cost, bench_target,
                                np.array([3.0, 0.0, 0.0, 0.0]), OptConfig())
 
+    def test_rejects_immutable_origin_outside_bounds(self, bench_model,
+                                                     bench_cost, bench_target):
+        # the box pins an immutable feature to the origin's own value, but
+        # the origin must still lie inside the feature's bounds
+        feats = tuple(Feature(name=f"x{i}", kind="numeric", lower=-1.0,
+                              upper=1.0, mutable=i > 0) for i in range(4))
+        schema = FeatureSchema(features=feats)
+        with pytest.raises(ValueError, match="bounds"):
+            generate_candidate(bench_model, schema, bench_cost, bench_target,
+                               np.array([3.0, 0.0, 0.0, 0.0]), OptConfig())
+
     def test_rejects_dimension_mismatch(self, bench_model, bench_cost,
                                         bench_target):
         feats = (Feature(name="a", kind="numeric", lower=-1, upper=1),
