@@ -1,13 +1,14 @@
 """Synthetic benchmark: run all methods, verify, and tabulate success.
 
-The task is a two-class Gaussian mixture whose exact posteriors are known,
-so every candidate can be scored against ground truth as well as against
-the model.  For each test individual the model places outside the target,
-the perturbation search sweeps lam, the counterfactual baseline sweeps its
-own schedule, and the l2 attack contributes its cheapest success; every
-candidate is then put through the pairwise verifier.  Success rates are
-aggregated per (method, delta threshold, epsilon budget) cell before and
-after verification.
+The task is a Gaussian mixture whose exact posteriors are known, so every
+candidate can be scored against ground truth as well as against the model;
+the mixture, problem and settings come from one parsed config, by default
+the bundled synthetic document.  For each test individual the model places
+outside the target, the perturbation search sweeps lam, the counterfactual
+baseline sweeps its own schedule, and the l2 attack contributes its
+cheapest success; every candidate is then put through the pairwise
+verifier.  Success rates are aggregated per (method, delta threshold,
+epsilon budget) cell before and after verification.
 """
 from __future__ import annotations
 
@@ -20,17 +21,12 @@ import numpy as np
 
 from .actionability import CostModel, FeatureSchema
 from .baselines import cw_l2_batch, wachter_counterfactual_batch
-from .config import default_synthetic_config, parse_config
-from .netcore import (
-    TrainConfig,
-    fit_temperature,
-    predict_proba_batch,
-    train_classifier,
-)
+from .config import ExperimentConfig, default_synthetic_config, parse_config
+from .netcore import fit_temperature, predict_proba_batch, train_classifier
 from .perturb import (
     CandidateRecord,
-    OptConfig,
     TapCandidate,
+    _fmt,
     _verified,
     frontier_sweep_batch,
     repair_on_rejection_batch,
@@ -38,11 +34,13 @@ from .perturb import (
 )
 from .plots import grouped_bars_svg, scatter_svg
 from .probspace import TargetSet
-from .synthetic import (
+# unused canonical_benchmark_spec stays: perfbench/workloads.py samples the
+# benchmark's data through this module
+from .synthetic import (  # noqa: F401
     SyntheticSpec,
     canonical_benchmark_spec,
     sample_synthetic,
-    true_posterior,
+    true_posterior_batch,
 )
 from .verify import build_pair_dataset, calibrate_gamma, train_verifier
 
@@ -63,26 +61,39 @@ __all__ = [
 
 METHODS = ("tap", "wachter", "cw")
 
+_DEFAULT = parse_config(default_synthetic_config())
+
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
+    """How one benchmark run goes.  The problem -- mixture, schema, cost,
+    target, divergence -- and the nets, training, penalty and descent
+    settings the fields below do not override come from ``experiment``."""
+
     seed: int = 0
-    n_samples: int = 4000
-    max_individuals: int = 40
+    n_samples: int = _DEFAULT.dataset.n_samples
+    max_individuals: int = _DEFAULT.max_individuals
     methods: tuple[str, ...] = METHODS
     # lam 0 anchors the frontier: pure target chase, first point inside T
-    lambdas: tuple[float, ...] = (0.0, *np.logspace(-4, 2, 20))
-    delta_thresholds: tuple[float, ...] = (0.0, 0.1, 0.5)
-    epsilon_budgets: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, math.inf)
-    rejection_rate: float = 0.10
-    verifier_pairs: int = 20_000
-    calibration_pairs: int = 5000
-    max_epochs: int = 60
-    patience: int = 10
-    opt_iters: int = 500
+    lambdas: tuple[float, ...] = _DEFAULT.lambdas
+    delta_thresholds: tuple[float, ...] = _DEFAULT.delta_thresholds
+    epsilon_budgets: tuple[float, ...] = _DEFAULT.epsilon_budgets
+    rejection_rate: float = _DEFAULT.verification.rate
+    verifier_pairs: int = _DEFAULT.verification.verifier_pairs
+    calibration_pairs: int = _DEFAULT.verification.calibration_pairs
+    max_epochs: int = _DEFAULT.train.max_epochs
+    patience: int = _DEFAULT.train.patience
+    opt_iters: int = _DEFAULT.opt.max_iters
     repair: bool = True
+    experiment: ExperimentConfig = _DEFAULT
 
     def __post_init__(self) -> None:
+        if not self.experiment.dataset.is_synthetic:
+            raise ValueError("a CSV dataset has no ground truth to score "
+                             "against; the benchmark needs a synthetic one")
+        if len(self.experiment.target.desirable) != 1:
+            raise ValueError("the baselines need a target with exactly one "
+                             "desirable class")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
@@ -100,8 +111,7 @@ def benchmark_problem() -> tuple[FeatureSchema, CostModel, TargetSet]:
     flip, so distance-to-target rewards genuine movement past the decision
     boundary while margin-zero attack points still sit at a positive delta.
     """
-    cfg = parse_config(default_synthetic_config())
-    return cfg.schema, cfg.cost, cfg.target
+    return _DEFAULT.schema, _DEFAULT.cost, _DEFAULT.target
 
 
 @dataclass(frozen=True)
@@ -169,13 +179,16 @@ def true_improvement_report(records, spec: SyntheticSpec,
                             target: TargetSet) -> tuple[ImprovementRow, ...]:
     """Mean change in true desirable-class mass, grouped by method."""
     desirable = list(target.desirable)
+
+    def mass(points) -> np.ndarray:
+        rows = np.reshape(points, (len(records), spec.num_features))
+        return true_posterior_batch(spec, rows)[:, desirable].sum(axis=1)
+
+    moved = (mass([r.candidate.x_tilde for r in records])
+             - mass([r.candidate.x for r in records]))
     changes: dict[str, list[float]] = {}
-    for rec in records:
-        c = rec.candidate
-        before = float(true_posterior(spec, np.asarray(c.x))[desirable].sum())
-        after = float(true_posterior(spec,
-                                     np.asarray(c.x_tilde))[desirable].sum())
-        changes.setdefault(rec.method, []).append(after - before)
+    for rec, change in zip(records, moved.tolist()):
+        changes.setdefault(rec.method, []).append(change)
     return tuple(
         ImprovementRow(method=m, count=len(vals),
                        mean_change=float(np.mean(vals)))
@@ -201,13 +214,17 @@ class BenchmarkResult:
 
 def run_benchmark(cfg: BenchmarkConfig, out_dir=None) -> BenchmarkResult:
     """Train everything, run all configured methods, verify, aggregate."""
-    spec = canonical_benchmark_spec()
-    schema, cm, target = benchmark_problem()
+    exp = cfg.experiment
+    spec, schema, cm, target = (exp.dataset.synthetic, exp.schema, exp.cost,
+                                exp.target)
+    div, penalty = exp.divergence(), exp.penalty
     x, y = sample_synthetic(spec, cfg.n_samples, cfg.seed)
 
-    model = train_classifier(
-        x, y, TrainConfig(max_epochs=cfg.max_epochs, patience=cfg.patience,
-                          seed=cfg.seed))
+    train = replace(exp.train, max_epochs=cfg.max_epochs,
+                    patience=cfg.patience, seed=cfg.seed)
+    nets = {"hidden_dims": exp.hidden_dims, "dropout_rate": exp.dropout}
+    model = train_classifier(x, y, train, num_classes=spec.num_classes,
+                             **nets)
     val_idx = model.metadata["split_indices"]["val"]
     if len(val_idx):
         # uncalibrated confidence shows up as discrepancy on genuine pairs
@@ -216,9 +233,8 @@ def run_benchmark(cfg: BenchmarkConfig, out_dir=None) -> BenchmarkResult:
     test_idx = model.metadata["split_indices"]["test"]
     pairs = build_pair_dataset(x[train_idx], y[train_idx],
                                max_pairs=cfg.verifier_pairs, seed=cfg.seed)
-    verifier = train_verifier(
-        pairs, TrainConfig(max_epochs=cfg.max_epochs, patience=cfg.patience,
-                           seed=cfg.seed + 1))
+    verifier = train_verifier(pairs, replace(train, seed=cfg.seed + 1),
+                              **nets)
     cal = calibrate_gamma(model, verifier, x[test_idx], y[test_idx],
                           rate=cfg.rejection_rate,
                           num_pairs=cfg.calibration_pairs, seed=cfg.seed,
@@ -229,7 +245,7 @@ def run_benchmark(cfg: BenchmarkConfig, out_dir=None) -> BenchmarkResult:
                if not target.contains(probs[i])]
     individuals = outside[:cfg.max_individuals]
 
-    oc = OptConfig(lam=1.0, max_iters=cfg.opt_iters, seed=cfg.seed)
+    oc = replace(exp.opt, max_iters=cfg.opt_iters, seed=cfg.seed)
     origins = x[individuals]
     everyone = range(len(individuals))
     # each phase searches and verifies for all individuals in one batched
@@ -258,7 +274,8 @@ def run_benchmark(cfg: BenchmarkConfig, out_dir=None) -> BenchmarkResult:
 
     if "tap" in cfg.methods:
         sweeps = dict(succeeded("tap", everyone, frontier_sweep_batch(
-            model, schema, cm, target, origins, cfg.lambdas, oc)))
+            model, schema, cm, target, origins, cfg.lambdas, oc,
+            div=div, penalty=penalty)))
         for i, sweep in sweeps.items():
             log["tap"][i].extend(f"lam={lam:g}: {message}"
                                  for lam, message in sweep.failures)
@@ -275,18 +292,19 @@ def run_benchmark(cfg: BenchmarkConfig, out_dir=None) -> BenchmarkResult:
                 model, verifier, cal, schema, cm, target,
                 list(rework.values()),
                 [replace(oc, lam=c.lam) for c in rework.values()],
-                attempts_per_strategy=3)):
+                attempts_per_strategy=3, div=div, penalty=penalty)):
             log["tap"][i].append(CandidateRecord(individuals[i], "tap",
                                                  outcome.candidate))
     if "wachter" in cfg.methods:
         checked("wachter", {i: result.trials for i, result in succeeded(
             "wachter", everyone, wachter_counterfactual_batch(
-                model, schema, cm, target, origins, x[train_idx]))})
+                model, schema, cm, target, origins, x[train_idx],
+                div=div))})
     if "cw" in cfg.methods:
         flips = {}
         for i, result in succeeded("cw", everyone, cw_l2_batch(
                 model, schema, cm, target, origins,
-                attack_class=target.desirable[0])):
+                attack_class=target.desirable[0], div=div)):
             if result.flipped:
                 flips[i] = [result.candidate]
             else:
@@ -323,21 +341,15 @@ def run_benchmark(cfg: BenchmarkConfig, out_dir=None) -> BenchmarkResult:
 # artifact emission
 
 
-def _csv_fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_success_csv(path, table: SuccessTable) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "delta_threshold", "epsilon_budget",
                          "pre_rate", "post_rate"])
         for row in table.rows:
-            writer.writerow([row.method, _csv_fmt(row.delta_threshold),
-                             _csv_fmt(row.epsilon_budget),
-                             _csv_fmt(row.pre_rate), _csv_fmt(row.post_rate)])
+            writer.writerow([row.method, _fmt(row.delta_threshold),
+                             _fmt(row.epsilon_budget),
+                             _fmt(row.pre_rate), _fmt(row.post_rate)])
 
 
 def write_improvement_csv(path, rows) -> None:
@@ -345,7 +357,7 @@ def write_improvement_csv(path, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(["method", "count", "mean_change"])
         for row in rows:
-            writer.writerow([row.method, row.count, _csv_fmt(row.mean_change)])
+            writer.writerow([row.method, row.count, _fmt(row.mean_change)])
 
 
 def emit_plots(result: BenchmarkResult, out_dir) -> list[str]:

@@ -31,7 +31,7 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     SchemaMismatchError,
-    default_synthetic_config,
+    _invalid,
     load_config,
     load_dataset,
     parse_config,
@@ -290,7 +290,7 @@ def load_candidate(path, schema) -> tuple[np.ndarray, np.ndarray, dict]:
         raise MissingModelError(f"candidate file not found: {path}")
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaMismatchError(
             f"candidate file {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("kind") != "perturbation-candidate":
@@ -378,7 +378,7 @@ def replay_manifest(manifest_path, out_dir=None) -> int:
         raise MissingModelError(f"manifest file not found: {manifest_path}")
     try:
         doc = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaMismatchError(
             f"manifest file {manifest_path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("kind") != "run-manifest":
@@ -595,38 +595,22 @@ def _bench_config(cfg: ExperimentConfig | None, seed: int | None
                   ) -> BenchmarkConfig:
     if cfg is None:
         return BenchmarkConfig(seed=seed if seed is not None else 0)
-    # the benchmark runs one fixed problem: a config may tune how it runs,
-    # but a config for another problem must not quietly run this one
-    canon = parse_config(default_synthetic_config())
-    mine, spec = cfg.dataset.synthetic, canon.dataset.synthetic
-    same = {
-        "dataset": mine is not None and all(
-            np.array_equal(getattr(mine, key), getattr(spec, key))
-            for key in ("means", "variances", "priors")),
-        "schema": cfg.schema == canon.schema,
-        "cost": cfg.cost == canon.cost,
-        "target": cfg.target == canon.target,
-        "divergence": cfg.divergence_name == canon.divergence_name,
-    }
-    differs = [name for name, ok in same.items() if not ok]
-    if differs:
-        raise ConfigError(
-            f"config: bench-synthetic runs only the canonical synthetic "
-            f"problem; this config's {differs[0]} differs from it")
-    return BenchmarkConfig(
-        seed=cfg.seed,
-        n_samples=cfg.dataset.n_samples,
-        lambdas=cfg.lambdas,
-        delta_thresholds=cfg.delta_thresholds,
-        epsilon_budgets=cfg.epsilon_budgets,
-        max_individuals=cfg.max_individuals,
-        rejection_rate=cfg.verification.rate,
-        verifier_pairs=cfg.verification.verifier_pairs,
-        calibration_pairs=cfg.verification.calibration_pairs,
-        max_epochs=cfg.train.max_epochs,
-        patience=cfg.train.patience,
-        opt_iters=cfg.opt.max_iters,
-    )
+    with _invalid("bench-synthetic"):
+        return BenchmarkConfig(
+            experiment=cfg,
+            seed=cfg.seed,
+            n_samples=cfg.dataset.n_samples,
+            lambdas=cfg.lambdas,
+            delta_thresholds=cfg.delta_thresholds,
+            epsilon_budgets=cfg.epsilon_budgets,
+            max_individuals=cfg.max_individuals,
+            rejection_rate=cfg.verification.rate,
+            verifier_pairs=cfg.verification.verifier_pairs,
+            calibration_pairs=cfg.verification.calibration_pairs,
+            max_epochs=cfg.train.max_epochs,
+            patience=cfg.train.patience,
+            opt_iters=cfg.opt.max_iters,
+        )
 
 
 def _cmd_bench_synthetic(args) -> int:

@@ -366,7 +366,8 @@ def parse_config(doc: dict, base_dir: str = ".") -> ExperimentConfig:
 
     model_sec = _section(doc, "model", required=False)
     _reject_unknown(model_sec, "model", {"hidden_dims", "dropout", "train"})
-    hidden = model_sec.get("hidden_dims", [60, 60, 60])
+    fallback = default_synthetic_config()
+    hidden = model_sec.get("hidden_dims", fallback["model"]["hidden_dims"])
     if (not isinstance(hidden, list) or not hidden
             or not all(isinstance(h, int) and not isinstance(h, bool)
                        and h > 0 for h in hidden)):
@@ -385,8 +386,7 @@ def parse_config(doc: dict, base_dir: str = ".") -> ExperimentConfig:
 
     sweep_sec = _section(doc, "sweep", required=False)
     _reject_unknown(sweep_sec, "sweep", {"lambdas"})
-    raw_lams = sweep_sec.get("lambdas",
-                             [0.0, *np.logspace(-4, 2, 20).tolist()])
+    raw_lams = sweep_sec.get("lambdas", fallback["sweep"]["lambdas"])
     if not isinstance(raw_lams, list) or not raw_lams:
         raise ConfigError("config: sweep.lambdas must be a non-empty list")
     lambdas = []
@@ -400,15 +400,12 @@ def parse_config(doc: dict, base_dir: str = ".") -> ExperimentConfig:
     bench_sec = _section(doc, "bench", required=False)
     _reject_unknown(bench_sec, "bench",
                     {"delta_thresholds", "epsilon_budgets", "max_individuals"})
-    thresholds = tuple(
-        _budget(v, f"bench.delta_thresholds[{i}]")
-        for i, v in enumerate(_read(bench_sec, "bench", "delta_thresholds",
-                                    list, [0.0, 0.1, 0.5])))
-    budgets = tuple(
-        _budget(v, f"bench.epsilon_budgets[{i}]")
-        for i, v in enumerate(_read(bench_sec, "bench", "epsilon_budgets",
-                                    list, [1.0, 2.0, 4.0, 8.0, 16.0, "inf"])))
-    max_ind = _read(bench_sec, "bench", "max_individuals", int, 40)
+    thresholds, budgets = (
+        tuple(_budget(v, f"bench.{key}[{i}]") for i, v in enumerate(
+            _read(bench_sec, "bench", key, list, fallback["bench"][key])))
+        for key in ("delta_thresholds", "epsilon_budgets"))
+    max_ind = _read(bench_sec, "bench", "max_individuals", int,
+                    fallback["bench"]["max_individuals"])
     if max_ind < 0:
         raise ConfigError("config: bench.max_individuals must be non-negative")
 
@@ -444,7 +441,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     return parse_config(doc, base_dir=str(path.parent))
 
@@ -508,7 +505,8 @@ def _read_csv(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def default_synthetic_config() -> dict:
-    """The benchmark problem as a config document, ready to dump or parse."""
+    """The benchmark problem as a config document, ready to dump or parse;
+    its nets, sweep and bench grid are :func:`parse_config`'s fallbacks."""
     spec = canonical_benchmark_spec()
     return {
         "seed": 0,

@@ -539,8 +539,8 @@ def load_model(path) -> DenseClassifier:
         raise FileNotFoundError(f"model file not found: {path}")
     try:
         payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"model file {path} is not valid: {exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"model file {path} is not valid JSON: {exc}") from None
     kind = payload.get("kind") if isinstance(payload, dict) else None
     if kind != "dense-softmax-classifier":
         raise ValueError(f"model file {path} has unknown kind")

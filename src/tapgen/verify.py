@@ -299,7 +299,11 @@ def load_calibration(path) -> GammaCalibration:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"calibration file not found: {path}")
-    payload = json.loads(path.read_text())
+    try:
+        payload = json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(
+            f"calibration file {path} is not valid JSON: {exc}") from None
     kind = payload.get("kind") if isinstance(payload, dict) else None
     if kind != "discrepancy-calibration":
         raise ValueError(f"calibration file {path} has unknown kind")

@@ -10,6 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tapgen import cli
+from tapgen.actionability import cost
+from tapgen.bench import run_benchmark, true_improvement_report
 from tapgen.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -26,10 +29,15 @@ from tapgen.config import (
     default_synthetic_config,
     load_config,
     load_dataset,
+    parse_config,
 )
-from tapgen.netcore import load_model, predict_proba_batch
+from tapgen.netcore import load_model, predict_proba, predict_proba_batch
 from tapgen.perturb import FRONTIER_COLUMNS, TapCandidate
+from tapgen.probspace import target_distance
+from tapgen.synthetic import sample_synthetic
 from tapgen.verify import pac_gap_terms
+
+NOT_UTF8 = b'{"kind": "\xff"}'
 
 
 def small_doc():
@@ -310,11 +318,13 @@ class TestExitCodes:
         doc = small_doc()
         doc["surprise"] = 1
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        rc = main(["train", "--config", str(path), "--out", str(tmp_path)])
-        assert rc == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and len(err.splitlines()) == 1
+        for text in (json.dumps(doc).encode(), NOT_UTF8):
+            path.write_bytes(text)
+            rc = main(["train", "--config", str(path), "--out", str(tmp_path)])
+            assert rc == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert f"{path} is not valid JSON" in err
 
     @pytest.mark.parametrize("edit", [
         lambda d: d["model"].update(train=5),
@@ -449,14 +459,16 @@ class TestExitCodes:
                    str(tmp_path / "ghost.json"), "--out", str(tmp_path)])
         assert rc == EXIT_MISSING_MODEL
 
-    def test_corrupt_candidate_is_3(self, ws, tmp_path):
+    def test_corrupt_candidate_is_3(self, ws, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"kind": "something-else"}))
-        rc = main(["verify", "--config", ws["config"],
-                   "--model", ws["model"], "--verifier", ws["verifier"],
-                   "--calibration", ws["calibration"],
-                   str(bad), "--out", str(tmp_path)])
-        assert rc == EXIT_SCHEMA
+        for text in (b'{"kind": "something-else"}', NOT_UTF8):
+            bad.write_bytes(text)
+            rc = main(["verify", "--config", ws["config"],
+                       "--model", ws["model"], "--verifier", ws["verifier"],
+                       "--calibration", ws["calibration"],
+                       str(bad), "--out", str(tmp_path)])
+            assert rc == EXIT_SCHEMA
+            assert str(bad) in one_error_line(capsys)
 
     def test_non_object_candidate_is_3(self, ws, tmp_path, capsys):
         bad = tmp_path / "list.json"
@@ -468,12 +480,12 @@ class TestExitCodes:
         assert rc == EXIT_SCHEMA
         assert "unknown kind" in one_error_line(capsys)
 
-    @pytest.mark.parametrize("text", ["[1, 2]", "{not json"],
-                             ids=["list", "invalid"])
+    @pytest.mark.parametrize("text", [b"[1, 2]", b"{not json", NOT_UTF8],
+                             ids=["list", "invalid", "not-utf8"])
     def test_replay_of_malformed_manifest_is_schema_error(self, tmp_path,
                                                          text):
         path = tmp_path / "manifest.json"
-        path.write_text(text)
+        path.write_bytes(text)
         with pytest.raises(SchemaMismatchError):
             replay_manifest(path, tmp_path / "out")
 
@@ -536,12 +548,61 @@ class TestExitCodes:
         assert "unreachable" in capsys.readouterr().err
 
 
+def recorded(res) -> np.ndarray:
+    """Each record's x, epsilon and delta, then each improvement row's
+    mean change, as one flat vector."""
+    return np.concatenate([
+        np.ravel([[*r.candidate.x, r.candidate.epsilon, r.candidate.delta]
+                  for r in res.records]),
+        [row.mean_change for row in res.improvement]])
+
+
+def recomputed(res, cfg) -> np.ndarray:
+    """:func:`recorded` as the problem cfg declares recomputes it: x
+    resampled from cfg's mixture, epsilon priced under its cost, delta
+    measured against its target under its divergence, and the true
+    improvement of the records the benchmark reports on under its
+    posteriors."""
+    x = sample_synthetic(cfg.dataset.synthetic, cfg.dataset.n_samples,
+                         cfg.seed)[0]
+    reported = [r for r in res.records if r.method == "cw" or (
+        r.candidate.verified and not r.candidate.is_noop)]
+    return np.concatenate([
+        np.ravel([[*x[r.individual_id],
+                   cost(r.candidate.x, r.candidate.x_tilde, cfg.cost,
+                        cfg.schema),
+                   target_distance(predict_proba(res.model,
+                                                 r.candidate.x_tilde),
+                                   cfg.target, cfg.divergence())]
+                  for r in res.records]),
+        [row.mean_change for row in true_improvement_report(
+            reported, cfg.dataset.synthetic, cfg.target)]])
+
+
 class TestBenchCommand:
-    def test_run_and_byte_identical_replay(self, ws, tmp_path, capsys):
-        out = tmp_path / "bench"
-        rc = main(["bench-synthetic", "--config", ws["config"],
+    @staticmethod
+    def bench(monkeypatch, config, out):
+        """bench-synthetic on a config file: its exit code and the
+        BenchmarkResult it ran, None when it ran none."""
+        runs = []
+
+        def run(bcfg):
+            runs.append(run_benchmark(bcfg))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "run_benchmark", run)
+        rc = main(["bench-synthetic", "--config", str(config),
                    "--out", str(out)])
+        return rc, (runs[0] if runs else None)
+
+    def test_run_and_byte_identical_replay(self, ws, tmp_path, capsys,
+                                           monkeypatch):
+        out = tmp_path / "bench"
+        rc, res = self.bench(monkeypatch, ws["config"], out)
         assert rc == 0
+        # the config's nets, not the bundled document's
+        assert res.model.layer_dims == (4, 16, 16, 2)
+        assert res.verifier.layer_dims == (8, 16, 16, 2)
         stdout = capsys.readouterr().out
         assert "model accuracy" in stdout
         manifest = json.loads((out / "manifest.json").read_text())
@@ -565,29 +626,45 @@ class TestBenchCommand:
         assert bcfg.n_samples == 500
         assert bcfg.lambdas == (0.0, 0.02, 1.0)
         assert bcfg.max_individuals == 3
+        assert bcfg.experiment is cfg
         # without a config the seed flag is the only knob
         assert _bench_config(None, 11).seed == 11
         assert _bench_config(None, None).seed == 0
 
-    @pytest.mark.parametrize("edit, setting", [
-        (lambda d: d.update(dataset={"csv": "rows.csv"}), "dataset"),
-        (lambda d: d["dataset"]["synthetic"].update(priors=[0.3, 0.7]),
-         "dataset"),
-        (lambda d: d["schema"]["features"][0].update(upper=9.0), "schema"),
-        (lambda d: d["cost"]["quadratic"][0].update(weight=2.0), "cost"),
-        (lambda d: d["target"].update(p=0.9, q=0.1), "target"),
-        (lambda d: d.update(divergence="chi2"), "divergence"),
-    ], ids=["csv", "priors", "bounds", "weight", "thresholds", "chi2"])
-    def test_config_for_another_problem_is_2(self, tmp_path, capsys, edit,
-                                             setting):
+    @pytest.mark.parametrize("edit, refusal", [
+        (lambda d: d.update(dataset={"csv": "rows.csv"}), "ground truth"),
+        (lambda d: d["dataset"]["synthetic"].update(priors=[0.3, 0.7]), None),
+        (lambda d: d["schema"]["features"][0].update(upper=9.0), None),
+        (lambda d: d["cost"]["quadratic"][0].update(weight=2.0), None),
+        (lambda d: d["target"].update(p=0.9, q=0.1), None),
+        (lambda d: d.update(divergence="chi2"), None),
+        (lambda d: d["target"].update(desirable=["class0", "class1"],
+                                      undesirable=[]), "one desirable class"),
+    ], ids=["csv", "priors", "bounds", "weight", "thresholds", "chi2",
+            "two-desirable"])
+    def test_config_for_another_problem_is_2(self, tmp_path, capsys,
+                                             monkeypatch, edit, refusal):
+        """A config for another synthetic problem runs that problem, and
+        its records recompute under it, not under the bundled one.  Only
+        a problem the benchmark cannot score is 2: a CSV dataset has no
+        ground truth, and the baselines need one desirable class."""
         doc = small_doc()
         edit(doc)
         path = tmp_path / "other.json"
         path.write_text(json.dumps(doc))
-        rc = main(["bench-synthetic", "--config", str(path),
-                   "--out", str(tmp_path / "bench")])
-        assert rc == EXIT_CONFIG
-        assert f"config's {setting} differs" in one_error_line(capsys)
+        rc, res = self.bench(monkeypatch, path, tmp_path / "bench")
+        if refusal is not None:
+            assert rc == EXIT_CONFIG and res is None
+            assert refusal in one_error_line(capsys)
+            return
+        assert rc == 0 and res.records
+        cfg, bundled = load_config(path), parse_config(small_doc())
+        assert np.allclose(recomputed(res, cfg), recorded(res), rtol=1e-9)
+        # only the wider bound, which no search reaches, leaves the bundled
+        # problem's recomputation right
+        as_bundled = np.allclose(recomputed(res, bundled), recorded(res),
+                                 rtol=1e-9)
+        assert as_bundled == (cfg.schema != bundled.schema)
 
 
 class TestConsoleEntry:

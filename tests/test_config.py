@@ -288,9 +288,10 @@ class TestLoadConfig:
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError, match="not valid JSON"):
-            load_config(path)
+        for text in (b"{not json", b'{"seed": "\xff"}'):
+            path.write_bytes(text)
+            with pytest.raises(ConfigError, match="not valid JSON"):
+                load_config(path)
 
     def test_round_trip_through_file(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -299,9 +299,10 @@ class TestPersistence:
 
     def test_corrupt_file(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ValueError):
-            load_model(path)
+        for text in (b"{not json", b'{"kind": "\xff"}'):
+            path.write_bytes(text)
+            with pytest.raises(ValueError, match="bad.json is not valid JSON"):
+                load_model(path)
 
 
 class TestLoadValidation:

@@ -268,9 +268,13 @@ class TestCalibration:
         with pytest.raises(FileNotFoundError):
             load_calibration(tmp_path / "nope.json")
         bad = tmp_path / "bad.json"
-        bad.write_text('{"kind": "something-else"}')
-        with pytest.raises(ValueError):
-            load_calibration(bad)
+        for text, problem in ((b'{"kind": "something-else"}',
+                               "has unknown kind"),
+                              (b"{not json", "is not valid JSON"),
+                              (b'{"kind": "\xff"}', "is not valid JSON")):
+            bad.write_bytes(text)
+            with pytest.raises(ValueError, match=f"bad.json {problem}"):
+                load_calibration(bad)
 
     @pytest.mark.parametrize("key", ["gamma", "rate", "source_hash"])
     def test_load_missing_key(self, calibrated, tmp_path, key):
