@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -64,30 +65,40 @@ METHODS = ("tap", "wachter", "cw")
 _DEFAULT = parse_config(default_synthetic_config())
 
 
+def _setting(source: str):
+    """A run setting that, left at None, reads ``experiment.<source>``."""
+    return field(default=None, metadata={"source": source})
+
+
 @dataclass(frozen=True)
 class BenchmarkConfig:
-    """How one benchmark run goes.  The problem -- mixture, schema, cost,
-    target, divergence -- and the nets, training, penalty and descent
-    settings the fields below do not override come from ``experiment``."""
+    """How one benchmark run goes.  Everything comes from ``experiment``:
+    the problem -- mixture, schema, cost, target, divergence -- the nets,
+    training, penalty and descent settings, and each run setting below
+    left at None; a setting given as a keyword overrides it."""
 
-    seed: int = 0
-    n_samples: int = _DEFAULT.dataset.n_samples
-    max_individuals: int = _DEFAULT.max_individuals
+    seed: int | None = _setting("seed")
+    n_samples: int | None = _setting("dataset.n_samples")
+    max_individuals: int | None = _setting("max_individuals")
     methods: tuple[str, ...] = METHODS
     # lam 0 anchors the frontier: pure target chase, first point inside T
-    lambdas: tuple[float, ...] = _DEFAULT.lambdas
-    delta_thresholds: tuple[float, ...] = _DEFAULT.delta_thresholds
-    epsilon_budgets: tuple[float, ...] = _DEFAULT.epsilon_budgets
-    rejection_rate: float = _DEFAULT.verification.rate
-    verifier_pairs: int = _DEFAULT.verification.verifier_pairs
-    calibration_pairs: int = _DEFAULT.verification.calibration_pairs
-    max_epochs: int = _DEFAULT.train.max_epochs
-    patience: int = _DEFAULT.train.patience
-    opt_iters: int = _DEFAULT.opt.max_iters
+    lambdas: tuple[float, ...] | None = _setting("lambdas")
+    delta_thresholds: tuple[float, ...] | None = _setting("delta_thresholds")
+    epsilon_budgets: tuple[float, ...] | None = _setting("epsilon_budgets")
+    rejection_rate: float | None = _setting("verification.rate")
+    verifier_pairs: int | None = _setting("verification.verifier_pairs")
+    calibration_pairs: int | None = _setting("verification.calibration_pairs")
+    max_epochs: int | None = _setting("train.max_epochs")
+    patience: int | None = _setting("train.patience")
+    opt_iters: int | None = _setting("opt.max_iters")
     repair: bool = True
     experiment: ExperimentConfig = _DEFAULT
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if "source" in f.metadata and getattr(self, f.name) is None:
+                object.__setattr__(self, f.name, attrgetter(
+                    f.metadata["source"])(self.experiment))
         if not self.experiment.dataset.is_synthetic:
             raise ValueError("a CSV dataset has no ground truth to score "
                              "against; the benchmark needs a synthetic one")
@@ -97,8 +108,12 @@ class BenchmarkConfig:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.max_individuals < 0 or self.n_samples < 10:
             raise ValueError("bad benchmark sizes")
+        if not (self.delta_thresholds and self.epsilon_budgets):
+            raise ValueError("delta thresholds and budgets must be non-empty")
         if not (0.0 <= self.rejection_rate <= 1.0):
             raise ValueError("rejection rate must lie in [0, 1]")
 

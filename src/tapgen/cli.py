@@ -121,8 +121,7 @@ def _load_config_arg(args) -> tuple[ExperimentConfig, str]:
     cfg = load_config(args.config)
     text = Path(args.config).read_text()
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be non-negative")
+        # parse_config refuses a negative seed
         cfg = parse_config({**cfg.raw, "seed": args.seed}, cfg.base_dir)
     return cfg, text
 
@@ -591,34 +590,14 @@ def _cmd_baseline_wachter(args) -> int:
     return 0
 
 
-def _bench_config(cfg: ExperimentConfig | None, seed: int | None
-                  ) -> BenchmarkConfig:
-    if cfg is None:
-        return BenchmarkConfig(seed=seed if seed is not None else 0)
-    with _invalid("bench-synthetic"):
-        return BenchmarkConfig(
-            experiment=cfg,
-            seed=cfg.seed,
-            n_samples=cfg.dataset.n_samples,
-            lambdas=cfg.lambdas,
-            delta_thresholds=cfg.delta_thresholds,
-            epsilon_budgets=cfg.epsilon_budgets,
-            max_individuals=cfg.max_individuals,
-            rejection_rate=cfg.verification.rate,
-            verifier_pairs=cfg.verification.verifier_pairs,
-            calibration_pairs=cfg.verification.calibration_pairs,
-            max_epochs=cfg.train.max_epochs,
-            patience=cfg.train.patience,
-            opt_iters=cfg.opt.max_iters,
-        )
-
-
 def _cmd_bench_synthetic(args) -> int:
     cfg = text = None
     if args.config is not None:
         cfg, text = _load_config_arg(args)
+    with _invalid("bench-synthetic"):
+        bcfg = (BenchmarkConfig(seed=args.seed) if cfg is None
+                else BenchmarkConfig(experiment=cfg))
     out = _out_dir(args, cfg)
-    bcfg = _bench_config(cfg, args.seed)
     result = run_benchmark(bcfg)
     outputs = write_artifacts(result, out)
     write_manifest(out, "bench-synthetic", args, text, outputs, bcfg.seed)

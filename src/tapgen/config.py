@@ -400,10 +400,14 @@ def parse_config(doc: dict, base_dir: str = ".") -> ExperimentConfig:
     bench_sec = _section(doc, "bench", required=False)
     _reject_unknown(bench_sec, "bench",
                     {"delta_thresholds", "epsilon_budgets", "max_individuals"})
-    thresholds, budgets = (
-        tuple(_budget(v, f"bench.{key}[{i}]") for i, v in enumerate(
-            _read(bench_sec, "bench", key, list, fallback["bench"][key])))
-        for key in ("delta_thresholds", "epsilon_budgets"))
+    grids = []
+    for key in ("delta_thresholds", "epsilon_budgets"):
+        raw = _read(bench_sec, "bench", key, list, fallback["bench"][key])
+        if not raw:
+            raise ConfigError(f"config: bench.{key} must be a non-empty list")
+        grids.append(tuple(_budget(v, f"bench.{key}[{i}]")
+                           for i, v in enumerate(raw)))
+    thresholds, budgets = grids
     max_ind = _read(bench_sec, "bench", "max_individuals", int,
                     fallback["bench"]["max_individuals"])
     if max_ind < 0:

@@ -130,6 +130,43 @@ class TestBenchmarkConfig:
             BenchmarkConfig(n_samples=4)
         with pytest.raises(ValueError):
             BenchmarkConfig(rejection_rate=1.5)
+        with pytest.raises(ValueError, match="non-negative"):
+            BenchmarkConfig(seed=-1)
+        for empty in ("delta_thresholds", "epsilon_budgets"):
+            with pytest.raises(ValueError, match="non-empty"):
+                BenchmarkConfig(**{empty: ()})
+
+    def test_settings_come_from_the_experiment(self):
+        doc = default_synthetic_config()
+        doc["seed"] = 5
+        doc["dataset"]["n_samples"] = 500
+        doc["model"]["train"].update(max_epochs=12, patience=4)
+        doc["opt"]["max_iters"] = 150
+        doc["sweep"]["lambdas"] = [0.0, 0.02, 1.0]
+        doc["verification"].update(rate=0.2, verifier_pairs=1500,
+                                   calibration_pairs=400)
+        doc["bench"] = {"delta_thresholds": [0.5],
+                        "epsilon_budgets": [2.0, "inf"],
+                        "max_individuals": 3}
+        cfg = parse_config(doc)
+        settings = dict(
+            seed=5, n_samples=500, max_individuals=3,
+            lambdas=(0.0, 0.02, 1.0), delta_thresholds=(0.5,),
+            epsilon_budgets=(2.0, INF), rejection_rate=0.2,
+            verifier_pairs=1500, calibration_pairs=400, max_epochs=12,
+            patience=4, opt_iters=150)
+        bundled, bcfg = BenchmarkConfig(), BenchmarkConfig(experiment=cfg)
+        assert bcfg.experiment is cfg
+        for name, value in settings.items():
+            assert getattr(bcfg, name) == value, name
+            assert getattr(bundled, name) != value, name
+        # a keyword overrides the experiment, and only its own setting
+        tuned = BenchmarkConfig(experiment=cfg, seed=9, lambdas=(0.0,))
+        assert (tuned.seed, tuned.lambdas) == (9, (0.0,))
+        assert tuned.n_samples == 500 and tuned.opt_iters == 150
+        # the bundled document's seed is 0
+        assert BenchmarkConfig(seed=11).seed == 11
+        assert BenchmarkConfig().seed == 0
 
     def test_problem_definition(self):
         schema, cm, target = benchmark_problem()

@@ -325,6 +325,15 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error:") and len(err.splitlines()) == 1
         assert f"{path} is not valid JSON" in err
+        # a negative --seed is refused before anything runs, with or
+        # without a config
+        path.write_text(json.dumps(small_doc()))
+        for argv in ([], ["--config", str(path)]):
+            rc = main(["bench-synthetic", *argv, "--seed", "-1",
+                       "--out", str(tmp_path / "bench")])
+            assert rc == EXIT_CONFIG
+            assert "seed must be non-negative" in one_error_line(capsys)
+        assert not (tmp_path / "bench").exists()
 
     @pytest.mark.parametrize("edit", [
         lambda d: d["model"].update(train=5),
@@ -339,9 +348,12 @@ class TestExitCodes:
         lambda d: d["opt"].update(tol=math.nan),
         lambda d: d["model"]["train"].update(learning_rate=math.nan),
         lambda d: d["dataset"]["synthetic"].update(priors=[math.nan, 0.5]),
+        lambda d: d["bench"].update(delta_thresholds=[]),
+        lambda d: d["bench"].update(epsilon_budgets=[]),
     ], ids=["train-section-int", "quadratic-int", "quadratic-term-int",
             "transition-term-int", "budgets-int", "budget-nan", "dropout-1.5",
-            "lr-nan", "tol-nan", "learning-rate-nan", "prior-nan"])
+            "lr-nan", "tol-nan", "learning-rate-nan", "prior-nan",
+            "thresholds-empty", "budgets-empty"])
     def test_malformed_config_is_2(self, tmp_path, capsys, edit):
         doc = small_doc()
         edit(doc)
@@ -617,19 +629,6 @@ class TestBenchCommand:
         for name in outputs:
             assert ((out / name).read_bytes()
                     == (replayed / name).read_bytes()), name
-
-    def test_config_carries_into_benchmark_settings(self, ws):
-        from tapgen.cli import _bench_config
-        cfg = load_config(ws["config"])
-        bcfg = _bench_config(cfg, None)
-        assert bcfg.seed == cfg.seed
-        assert bcfg.n_samples == 500
-        assert bcfg.lambdas == (0.0, 0.02, 1.0)
-        assert bcfg.max_individuals == 3
-        assert bcfg.experiment is cfg
-        # without a config the seed flag is the only knob
-        assert _bench_config(None, 11).seed == 11
-        assert _bench_config(None, None).seed == 0
 
     @pytest.mark.parametrize("edit, refusal", [
         (lambda d: d.update(dataset={"csv": "rows.csv"}), "ground truth"),
