@@ -22,7 +22,8 @@ import numpy as np
 
 from .actionability import CostModel, FeatureSchema
 from .baselines import cw_l2_batch, wachter_counterfactual_batch
-from .config import ExperimentConfig, default_synthetic_config, parse_config
+from .config import (ExperimentConfig, VerificationConfig, _cost_weight,
+                     default_synthetic_config, parse_config)
 from .netcore import fit_temperature, predict_proba_batch, train_classifier
 from .perturb import (
     CandidateRecord,
@@ -106,16 +107,26 @@ class BenchmarkConfig:
             raise ValueError("the baselines need a target with exactly one "
                              "desirable class")
         unknown = set(self.methods) - set(METHODS)
-        if unknown:
-            raise ValueError(f"unknown methods: {sorted(unknown)}")
+        if unknown or not self.methods:
+            raise ValueError(f"unknown methods: {sorted(unknown)}" if unknown
+                             else "no methods to run")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.max_individuals < 0 or self.n_samples < 10:
             raise ValueError("bad benchmark sizes")
         if not (self.delta_thresholds and self.epsilon_budgets):
             raise ValueError("delta thresholds and budgets must be non-empty")
-        if not (0.0 <= self.rejection_rate <= 1.0):
-            raise ValueError("rejection rate must lie in [0, 1]")
+        if not (self.lambdas and all(map(_cost_weight, self.lambdas))):
+            raise ValueError(
+                "lambdas must be non-empty, finite and non-negative")
+        # the sections check their own settings
+        VerificationConfig(self.rejection_rate, self.calibration_pairs,
+                           self.verifier_pairs)
+        object.__setattr__(self, "_train", replace(
+            self.experiment.train, max_epochs=self.max_epochs,
+            patience=self.patience, seed=self.seed))
+        object.__setattr__(self, "_opt", replace(
+            self.experiment.opt, max_iters=self.opt_iters, seed=self.seed))
 
 
 def benchmark_problem() -> tuple[FeatureSchema, CostModel, TargetSet]:
@@ -235,10 +246,8 @@ def run_benchmark(cfg: BenchmarkConfig, out_dir=None) -> BenchmarkResult:
     div, penalty = exp.divergence(), exp.penalty
     x, y = sample_synthetic(spec, cfg.n_samples, cfg.seed)
 
-    train = replace(exp.train, max_epochs=cfg.max_epochs,
-                    patience=cfg.patience, seed=cfg.seed)
     nets = {"hidden_dims": exp.hidden_dims, "dropout_rate": exp.dropout}
-    model = train_classifier(x, y, train, num_classes=spec.num_classes,
+    model = train_classifier(x, y, cfg._train, num_classes=spec.num_classes,
                              **nets)
     val_idx = model.metadata["split_indices"]["val"]
     if len(val_idx):
@@ -248,7 +257,7 @@ def run_benchmark(cfg: BenchmarkConfig, out_dir=None) -> BenchmarkResult:
     test_idx = model.metadata["split_indices"]["test"]
     pairs = build_pair_dataset(x[train_idx], y[train_idx],
                                max_pairs=cfg.verifier_pairs, seed=cfg.seed)
-    verifier = train_verifier(pairs, replace(train, seed=cfg.seed + 1),
+    verifier = train_verifier(pairs, replace(cfg._train, seed=cfg.seed + 1),
                               **nets)
     cal = calibrate_gamma(model, verifier, x[test_idx], y[test_idx],
                           rate=cfg.rejection_rate,
@@ -260,7 +269,6 @@ def run_benchmark(cfg: BenchmarkConfig, out_dir=None) -> BenchmarkResult:
                if not target.contains(probs[i])]
     individuals = outside[:cfg.max_individuals]
 
-    oc = replace(exp.opt, max_iters=cfg.opt_iters, seed=cfg.seed)
     origins = x[individuals]
     everyone = range(len(individuals))
     # each phase searches and verifies for all individuals in one batched
@@ -289,7 +297,7 @@ def run_benchmark(cfg: BenchmarkConfig, out_dir=None) -> BenchmarkResult:
 
     if "tap" in cfg.methods:
         sweeps = dict(succeeded("tap", everyone, frontier_sweep_batch(
-            model, schema, cm, target, origins, cfg.lambdas, oc,
+            model, schema, cm, target, origins, cfg.lambdas, cfg._opt,
             div=div, penalty=penalty)))
         for i, sweep in sweeps.items():
             log["tap"][i].extend(f"lam={lam:g}: {message}"
@@ -306,7 +314,7 @@ def run_benchmark(cfg: BenchmarkConfig, out_dir=None) -> BenchmarkResult:
         for i, outcome in succeeded("tap", rework, repair_on_rejection_batch(
                 model, verifier, cal, schema, cm, target,
                 list(rework.values()),
-                [replace(oc, lam=c.lam) for c in rework.values()],
+                [replace(cfg._opt, lam=c.lam) for c in rework.values()],
                 attempts_per_strategy=3, div=div, penalty=penalty)):
             log["tap"][i].append(CandidateRecord(individuals[i], "tap",
                                                  outcome.candidate))

@@ -7,7 +7,7 @@ that manifest (``replay_manifest``) reproduces every CSV byte for byte,
 because all randomness is derived from the recorded global seed.
 
 Exit codes: 0 success, 2 configuration problems, 3 data or artifact files
-that do not fit the configured schema, 4 missing model/verifier/calibration
+that are unreadable or do not fit the configured schema, 4 missing artifact
 files, 5 an unreachable distance budget, 1 anything else.  Each failure
 prints a single diagnostic line on stderr.
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
 import math
 import platform
 import sys
@@ -36,6 +35,7 @@ from .config import (
     load_dataset,
     parse_config,
 )
+from .documents import existing_file, read_document, write_document
 from .netcore import (
     DenseClassifier,
     ece,
@@ -82,7 +82,7 @@ EXIT_BUDGET = 5
 
 
 class MissingModelError(FileNotFoundError):
-    """A required model, verifier, calibration, or candidate file is absent."""
+    """A model, verifier, calibration, candidate or manifest file is absent."""
 
 
 class BudgetError(RuntimeError):
@@ -126,21 +126,20 @@ def _load_config_arg(args) -> tuple[ExperimentConfig, str]:
     return cfg, text
 
 
-def _require_file(path_arg, role: str) -> Path:
-    if path_arg is None:
+def _load_file(path, role: str, load):
+    """load(path); absent: MissingModelError, refused: SchemaMismatchError."""
+    if path is None:
         raise MissingModelError(f"this command needs --{role}")
-    path = Path(path_arg)
-    if not path.exists():
-        raise MissingModelError(f"{role} file not found: {path}")
-    return path
+    try:
+        return load(existing_file(path, role))
+    except FileNotFoundError as exc:
+        raise MissingModelError(str(exc)) from None
+    except ValueError as exc:
+        raise SchemaMismatchError(str(exc)) from None
 
 
 def _load_model_arg(args, cfg: ExperimentConfig) -> DenseClassifier:
-    path = _require_file(args.model, "model")
-    try:
-        model = load_model(path)
-    except ValueError as exc:
-        raise SchemaMismatchError(str(exc)) from None
+    model = _load_file(args.model, "model", load_model)
     d = len(cfg.schema.features)
     if model.num_features != d:
         raise SchemaMismatchError(
@@ -153,11 +152,7 @@ def _load_model_arg(args, cfg: ExperimentConfig) -> DenseClassifier:
 
 
 def _load_verifier_arg(args, cfg: ExperimentConfig) -> DenseClassifier:
-    path = _require_file(args.verifier, "verifier")
-    try:
-        net = load_model(path)
-    except ValueError as exc:
-        raise SchemaMismatchError(str(exc)) from None
+    net = _load_file(args.verifier, "verifier", load_model)
     d = len(cfg.schema.features)
     if net.num_features != 2 * d:
         raise SchemaMismatchError(
@@ -165,14 +160,6 @@ def _load_verifier_arg(args, cfg: ExperimentConfig) -> DenseClassifier:
     if net.num_classes != 2:
         raise SchemaMismatchError("verifier must be a two-class net")
     return net
-
-
-def _load_calibration_arg(args):
-    path = _require_file(args.calibration, "calibration")
-    try:
-        return load_calibration(path)
-    except ValueError as exc:
-        raise SchemaMismatchError(str(exc)) from None
 
 
 def _verification_pair(args, cfg: ExperimentConfig, model: DenseClassifier,
@@ -184,7 +171,8 @@ def _verification_pair(args, cfg: ExperimentConfig, model: DenseClassifier,
         return None, None
     if given != (True, True):
         raise ConfigError("give both --verifier and --calibration or neither")
-    verifier, cal = _load_verifier_arg(args, cfg), _load_calibration_arg(args)
+    verifier = _load_verifier_arg(args, cfg)
+    cal = _load_file(args.calibration, "calibration", load_calibration)
     rows, _ = _split_rows(model, x.shape[0], cal.source_split)
     digest = source_digest(x[rows], y[rows])
     if digest != cal.source_hash:
@@ -255,15 +243,14 @@ def _from_scalar(value, where: str) -> float:
     if value == "inf":
         return math.inf
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaMismatchError(f"candidate file: bad value for {where}")
+        raise ValueError(f"candidate file: bad value for {where}")
     return float(value)
 
 
 def write_candidate(path, schema, cand: TapCandidate, method: str,
                     individual: int) -> None:
     """Original and perturbed raw feature values, side by side per feature."""
-    doc = {
-        "kind": "perturbation-candidate",
+    write_document(path, "perturbation-candidate", {
         "method": method,
         "individual": int(individual),
         "lambda": _json_scalar(cand.lam),
@@ -279,36 +266,26 @@ def write_candidate(path, schema, cand: TapCandidate, method: str,
              "perturbed": float(cand.x_tilde[i])}
             for i, name in enumerate(schema.names)
         ],
-    }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    })
 
 
 def load_candidate(path, schema) -> tuple[np.ndarray, np.ndarray, dict]:
     path = Path(path)
-    if not path.exists():
-        raise MissingModelError(f"candidate file not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise SchemaMismatchError(
-            f"candidate file {path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("kind") != "perturbation-candidate":
-        raise SchemaMismatchError(f"candidate file {path} has unknown kind")
+    doc = read_document(path, "candidate", "perturbation-candidate")
     rows = doc.get("features")
     if not isinstance(rows, list):
-        raise SchemaMismatchError(f"candidate file {path} lacks features")
+        raise ValueError(f"candidate file {path} lacks features")
     by_name = {}
     for row in rows:
         if not isinstance(row, dict) or "name" not in row:
-            raise SchemaMismatchError(f"candidate file {path}: bad feature row")
+            raise ValueError(f"candidate file {path}: bad feature row")
         by_name[row["name"]] = row
     missing = [n for n in schema.names if n not in by_name]
     if missing:
-        raise SchemaMismatchError(
-            f"candidate file {path} lacks feature {missing[0]!r}")
+        raise ValueError(f"candidate file {path} lacks feature {missing[0]!r}")
     extra = sorted(set(by_name) - set(schema.names))
     if extra:
-        raise SchemaMismatchError(
+        raise ValueError(
             f"candidate file {path} has unknown feature {extra[0]!r}")
     x = np.array([_from_scalar(by_name[n].get("original"), n)
                   for n in schema.names])
@@ -349,8 +326,8 @@ def write_manifest(out_dir: Path, command: str, args, config_text: str | None,
         if value is not None and Path(value).exists():
             inputs[role] = {"path": str(Path(value).resolve()),
                             "sha256": _sha256(Path(value))}
-    doc = {
-        "kind": "run-manifest",
+    path = out_dir / "manifest.json"
+    write_document(path, "run-manifest", {
         "command": command,
         "args": _manifest_args(args, out_dir),
         "seed": seed,
@@ -364,45 +341,46 @@ def write_manifest(out_dir: Path, command: str, args, config_text: str | None,
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
-    }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(doc, indent=1) + "\n")
+    })
     return path
+
+
+def _read_manifest(path: Path) -> dict:
+    doc = read_document(path, "manifest", "run-manifest")
+    if not isinstance(doc.get("args"), dict):
+        raise ValueError(f"manifest file {path} lacks args")
+    if not isinstance(doc.get("config_text"), (str, type(None))):
+        raise ValueError(f"manifest file {path}: config_text is not text")
+    return doc
 
 
 def replay_manifest(manifest_path, out_dir=None) -> int:
     """Re-execute a recorded run; artifacts land in ``out_dir``."""
-    manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise MissingModelError(f"manifest file not found: {manifest_path}")
-    try:
-        doc = json.loads(manifest_path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise SchemaMismatchError(
-            f"manifest file {manifest_path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("kind") != "run-manifest":
-        raise SchemaMismatchError(
-            f"manifest file {manifest_path} has unknown kind")
-    if not isinstance(doc.get("args"), dict):
-        raise SchemaMismatchError(f"manifest file {manifest_path} lacks args")
+    doc = _load_file(manifest_path, "manifest", _read_manifest)
     rec = dict(doc["args"])
-    out = Path(out_dir) if out_dir is not None else Path(rec.get("out", "."))
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(out_dir if out_dir is not None else str(rec.get("out", ".")))
+    # the embedded text, not the original path: the replay must see the
+    # exact bytes the run saw even if the file has changed since
+    cfg_path = out / "replay-config.json"
     if doc.get("config_text") is not None:
-        # the embedded text, not the original path: the replay must see the
-        # exact bytes the run saw even if the file has changed since
-        cfg_path = out / "replay-config.json"
-        cfg_path.write_text(doc["config_text"])
         rec["config"] = str(cfg_path)
     rec["out"] = str(out)
-    argv = [doc["command"]]
+    argv = [str(doc.get("command"))]
     positional = rec.pop("candidate", None)
     for key, value in rec.items():
         argv.extend([_FLAG_NAMES.get(key, "--" + key.replace("_", "-")),
                      str(value)])
     if positional is not None:
-        argv.append(positional)
-    return main(argv)
+        argv.append(str(positional))
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit:
+        raise SchemaMismatchError(f"manifest file {Path(manifest_path)} "
+                                  "records a command tapgen refuses") from None
+    out.mkdir(parents=True, exist_ok=True)
+    if doc.get("config_text") is not None:
+        cfg_path.write_text(doc["config_text"])
+    return _run(args)
 
 
 # ---------------------------------------------------------------------------
@@ -532,17 +510,16 @@ def _cmd_verify(args) -> int:
     out = _out_dir(args, cfg)
     model = _load_model_arg(args, cfg)
     verifier = _load_verifier_arg(args, cfg)
-    cal = _load_calibration_arg(args)
-    x, x_tilde, doc = load_candidate(args.candidate, cfg.schema)
+    cal = _load_file(args.calibration, "calibration", load_calibration)
+    x, x_tilde, _ = _load_file(args.candidate, "candidate",
+                               lambda path: load_candidate(path, cfg.schema))
     verdict = verify_pair(model, verifier, cal, x, x_tilde)
-    payload = {
-        "kind": "verification-verdict",
+    write_document(out / "verdict.json", "verification-verdict", {
         "candidate": str(Path(args.candidate).resolve()),
         "accepted": verdict.accepted,
         "discrepancy": verdict.discrepancy,
         "gamma": verdict.gamma,
-    }
-    (out / "verdict.json").write_text(json.dumps(payload, indent=1) + "\n")
+    })
     write_manifest(out, "verify", args, text, ["verdict.json"], cfg.seed)
     word = "accepted" if verdict.accepted else "rejected"
     print(f"{word}: discrepancy {verdict.discrepancy:.6f} vs "
@@ -736,7 +713,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    return _run(build_parser().parse_args(argv))
+
+
+def _run(args) -> int:
+    """Run a parsed command, mapping each failure to its exit code."""
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as err:

@@ -15,7 +15,6 @@ a single stage reproduces that stage regardless of what ran before it.
 from __future__ import annotations
 
 import csv as _csv
-import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -33,6 +32,7 @@ from .actionability import (
     TransitionTerm,
     TriggerTerm,
 )
+from .documents import read_document
 from .netcore import TrainConfig
 from .perturb import OptConfig
 from .probspace import DivergenceSpec, TargetSet, get_divergence
@@ -197,6 +197,12 @@ def _budget(value, where: str) -> float:
             or math.isnan(value)):
         raise ConfigError(f'config: {where} must be a number or "inf"')
     return float(value)
+
+
+def _cost_weight(lam) -> bool:
+    """Whether lam is a finite, non-negative number: a sweep's cost weight."""
+    return (not isinstance(lam, bool) and isinstance(lam, (int, float))
+            and lam >= 0 and math.isfinite(lam))
 
 
 def _parse_schema(doc: dict) -> FeatureSchema:
@@ -389,13 +395,10 @@ def parse_config(doc: dict, base_dir: str = ".") -> ExperimentConfig:
     raw_lams = sweep_sec.get("lambdas", fallback["sweep"]["lambdas"])
     if not isinstance(raw_lams, list) or not raw_lams:
         raise ConfigError("config: sweep.lambdas must be a non-empty list")
-    lambdas = []
     for i, lam in enumerate(raw_lams):
-        if (isinstance(lam, bool) or not isinstance(lam, (int, float))
-                or lam < 0 or not math.isfinite(lam)):
+        if not _cost_weight(lam):
             raise ConfigError(
                 f"config: sweep.lambdas[{i}] must be finite and non-negative")
-        lambdas.append(float(lam))
 
     bench_sec = _section(doc, "bench", required=False)
     _reject_unknown(bench_sec, "bench",
@@ -428,7 +431,7 @@ def parse_config(doc: dict, base_dir: str = ".") -> ExperimentConfig:
                         PenaltyConfig),
         opt=_fields(_section(doc, "opt", required=False), "opt", OptConfig,
                     seed=seed),
-        lambdas=tuple(lambdas),
+        lambdas=tuple(float(lam) for lam in raw_lams),
         verification=_fields(_section(doc, "verification", required=False),
                              "verification", VerificationConfig),
         delta_thresholds=thresholds,
@@ -440,14 +443,11 @@ def parse_config(doc: dict, base_dir: str = ".") -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-    return parse_config(doc, base_dir=str(path.parent))
+        doc = read_document(path, "config")
+    except (FileNotFoundError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+    return parse_config(doc, base_dir=str(Path(path).parent))
 
 
 # ---------------------------------------------------------------------------

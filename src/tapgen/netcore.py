@@ -12,13 +12,13 @@ sub-streams of the one training seed.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from .documents import _numbers_only, read_document, write_document
 from .rng import substream
 
 __all__ = [
@@ -490,8 +490,7 @@ def ece(model: DenseClassifier, x: np.ndarray, labels: np.ndarray,
 
 
 def save_model(model: DenseClassifier, path) -> None:
-    payload = {
-        "kind": "dense-softmax-classifier",
+    write_document(path, "dense-softmax-classifier", {
         "layer_dims": list(model.layer_dims),
         "dropout_rate": model.dropout_rate,
         "temperature": model.temperature,
@@ -500,8 +499,7 @@ def save_model(model: DenseClassifier, path) -> None:
         "weights": [w.tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
         "metadata": model.metadata,
-    }
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+    })
 
 
 def _shape_problem(model: DenseClassifier) -> str | None:
@@ -523,27 +521,10 @@ def _shape_problem(model: DenseClassifier) -> str | None:
     return None
 
 
-def _numbers_only(value) -> bool:
-    """True when every leaf of nested lists and dicts is an int or a float;
-    JSON booleans and strings are not numbers."""
-    if isinstance(value, (list, dict)):
-        values = value.values() if isinstance(value, dict) else value
-        return all(_numbers_only(v) for v in values)
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def load_model(path) -> DenseClassifier:
     """Read a saved model; a malformed file raises ValueError."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"model file not found: {path}")
-    try:
-        payload = json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"model file {path} is not valid JSON: {exc}") from None
-    kind = payload.get("kind") if isinstance(payload, dict) else None
-    if kind != "dense-softmax-classifier":
-        raise ValueError(f"model file {path} has unknown kind")
+    payload = read_document(path, "model", "dense-softmax-classifier")
     try:
         model = DenseClassifier(
             layer_dims=tuple(int(v) for v in payload["layer_dims"]),

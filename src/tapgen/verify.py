@@ -19,17 +19,16 @@ measurement of the train/holdout risk gap on synthetic tasks.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .documents import _numbers_only, read_document, write_document
 from .netcore import (
     DenseClassifier,
     TrainConfig,
-    _numbers_only,
     _row,
     fit_temperature,
     predict_proba,
@@ -283,30 +282,19 @@ def source_digest(x: np.ndarray, labels: np.ndarray) -> str:
 
 
 def save_calibration(cal: GammaCalibration, path) -> None:
-    payload = {
-        "kind": "discrepancy-calibration",
+    write_document(path, "discrepancy-calibration", {
         "gamma": cal.gamma,
         "rate": cal.rate,
         "sample_size": cal.sample_size,
         "seed": cal.seed,
         "source_split": cal.source_split,
         "source_hash": cal.source_hash,
-    }
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+    })
 
 
 def load_calibration(path) -> GammaCalibration:
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"calibration file not found: {path}")
-    try:
-        payload = json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(
-            f"calibration file {path} is not valid JSON: {exc}") from None
-    kind = payload.get("kind") if isinstance(payload, dict) else None
-    if kind != "discrepancy-calibration":
-        raise ValueError(f"calibration file {path} has unknown kind")
+    payload = read_document(path, "calibration", "discrepancy-calibration")
     try:
         numbers = [payload[k] for k in ("gamma", "rate", "sample_size", "seed")]
         cal = GammaCalibration(

@@ -124,6 +124,8 @@ class TestBenchmarkConfig:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="unknown methods"):
             BenchmarkConfig(methods=("tap", "dice"))
+        with pytest.raises(ValueError, match="no methods"):
+            BenchmarkConfig(methods=())
 
     def test_rejects_bad_sizes_and_rate(self):
         with pytest.raises(ValueError):
@@ -135,6 +137,11 @@ class TestBenchmarkConfig:
         for empty in ("delta_thresholds", "epsilon_budgets"):
             with pytest.raises(ValueError, match="non-empty"):
                 BenchmarkConfig(**{empty: ()})
+        # refused when constructed, before anything is trained
+        for bad in ({"verifier_pairs": 0}, {"calibration_pairs": -3},
+                    {"max_epochs": 0}, {"opt_iters": 0}, {"lambdas": (-1.0,)}):
+            with pytest.raises(ValueError):
+                BenchmarkConfig(**bad)
 
     def test_settings_come_from_the_experiment(self):
         doc = default_synthetic_config()

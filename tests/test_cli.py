@@ -492,14 +492,22 @@ class TestExitCodes:
         assert rc == EXIT_SCHEMA
         assert "unknown kind" in one_error_line(capsys)
 
-    @pytest.mark.parametrize("text", [b"[1, 2]", b"{not json", NOT_UTF8],
-                             ids=["list", "invalid", "not-utf8"])
+    @pytest.mark.parametrize("text", [
+        b"[1, 2]", b"{not json", NOT_UTF8, b'{"kind": "something-else"}',
+        b'{"kind": "run-manifest", "args": {}}',
+        b'{"kind": "run-manifest", "command": "nope", "args": {}}',
+        b'{"kind": "run-manifest", "command": "train", "args": {}, '
+        b'"config_text": 5}',
+        b'{"kind": "run-manifest", "command": "pac-bound", "args": {}}'],
+        ids=["list", "invalid", "not-utf8", "other-kind", "no-command",
+             "unknown-command", "config-text-not-text", "refused-args"])
     def test_replay_of_malformed_manifest_is_schema_error(self, tmp_path,
                                                          text):
         path = tmp_path / "manifest.json"
         path.write_bytes(text)
-        with pytest.raises(SchemaMismatchError):
+        with pytest.raises(SchemaMismatchError, match=str(path)):
             replay_manifest(path, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key,value", [
         ("gamma", math.nan), ("gamma", math.inf), ("gamma", True),

@@ -1,6 +1,9 @@
-"""Every exported name resolves: ``__all__`` lists nothing that is gone."""
+"""Every exported name resolves: ``__all__`` lists nothing that is gone;
+and one module owns the JSON file format."""
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +24,17 @@ def test_module_exports_resolve(name):
     missing = [item for item in getattr(module, "__all__", ())
                if not hasattr(module, item)]
     assert missing == []
+
+
+def test_one_module_owns_the_json_format():
+    def imported(name):
+        tree = ast.parse(Path(tapgen.__path__[0], f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                yield node.module
+
+    users = [name for name in MODULES
+             if any(m.split(".")[0] == "json" for m in imported(name))]
+    assert users == ["documents"]
