@@ -30,6 +30,7 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     SchemaMismatchError,
+    _cost_weight,
     _invalid,
     load_config,
     load_dataset,
@@ -183,10 +184,26 @@ def _verification_pair(args, cfg: ExperimentConfig, model: DenseClassifier,
     return verifier, cal
 
 
+def _check_numeric_flags(args) -> None:
+    """Refuse a --lambda that is no sweep cost weight, and a NaN or negative
+    budget (an infinite one stays allowed), before anything runs."""
+    lam = getattr(args, "lam", None)
+    if lam is not None and not _cost_weight(lam):
+        raise ConfigError(
+            f"--lambda must be finite and non-negative, not {lam:g}")
+    budgets = [getattr(args, key, None) for key in ("epsilon_max", "delta_max")]
+    for flag, value in zip(("--epsilon-max", "--delta-max"), budgets):
+        if value is not None and not value >= 0.0:
+            raise ConfigError(f"{flag} must be non-negative, not {value:g}")
+    if None not in budgets:
+        raise ConfigError("give at most one of --epsilon-max and --delta-max")
+
+
 def _individual_problem(args):
     """What every one-individual command loads: the config and its text, the
     output directory, the dataset, M, the optional V and calibration, and
-    the checked --individual row."""
+    the checked --individual row, after the numeric flags are checked."""
+    _check_numeric_flags(args)
     cfg, text = _load_config_arg(args)
     out = _out_dir(args, cfg)
     x, y = load_dataset(cfg)
@@ -239,12 +256,15 @@ def _json_scalar(value):
     return value
 
 
-def _from_scalar(value, where: str) -> float:
-    if value == "inf":
-        return math.inf
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"candidate file: bad value for {where}")
-    return float(value)
+def _feature_value(value, path: Path, name: str) -> float:
+    try:   # an integer beyond the float range overflows
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"candidate file {path}: feature {name!r} needs a "
+                         f"finite number, not {value!r}")
+    return number
 
 
 def write_candidate(path, schema, cand: TapCandidate, method: str,
@@ -287,9 +307,9 @@ def load_candidate(path, schema) -> tuple[np.ndarray, np.ndarray, dict]:
     if extra:
         raise ValueError(
             f"candidate file {path} has unknown feature {extra[0]!r}")
-    x = np.array([_from_scalar(by_name[n].get("original"), n)
+    x = np.array([_feature_value(by_name[n].get("original"), path, n)
                   for n in schema.names])
-    x_tilde = np.array([_from_scalar(by_name[n].get("perturbed"), n)
+    x_tilde = np.array([_feature_value(by_name[n].get("perturbed"), path, n)
                         for n in schema.names])
     return x, x_tilde, doc
 
@@ -373,10 +393,11 @@ def replay_manifest(manifest_path, out_dir=None) -> int:
     if positional is not None:
         argv.append(str(positional))
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit:
+        args = build_parser(_RaisingParser).parse_args(argv)
+    except argparse.ArgumentError as exc:
         raise SchemaMismatchError(f"manifest file {Path(manifest_path)} "
-                                  "records a command tapgen refuses") from None
+                                  f"records a command tapgen refuses: {exc}"
+                                  ) from None
     out.mkdir(parents=True, exist_ok=True)
     if doc.get("config_text") is not None:
         cfg_path.write_text(doc["config_text"])
@@ -454,9 +475,6 @@ def _cmd_calibrate_gamma(args) -> int:
 def _cmd_generate(args) -> int:
     cfg, text, out, x, model, verifier, cal, idx = _individual_problem(args)
     div = cfg.divergence()
-    if args.epsilon_max is not None and args.delta_max is not None:
-        raise ConfigError("give at most one of --epsilon-max and --delta-max")
-
     if args.delta_max is not None or args.epsilon_max is not None:
         outcome = meet_budget(model, cfg.schema, cfg.cost, cfg.target, x[idx],
                               cfg.opt, epsilon_max=args.epsilon_max,
@@ -643,8 +661,17 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _RaisingParser(argparse.ArgumentParser):
+    """Raises a usage error with its reason instead of printing it and
+    exiting: a replayed command line is a library call, not a console."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def build_parser(parser_class=argparse.ArgumentParser
+                 ) -> argparse.ArgumentParser:
+    parser = parser_class(
         prog="tapgen",
         description="Generate, price, and verify trustworthy actionable "
                     "perturbations for tabular classifiers.")

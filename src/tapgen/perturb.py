@@ -392,11 +392,11 @@ def meet_budget(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
         raise ValueError("need trials >= 1 and factor > 1")
     noop = trivial_candidate(model, schema, cm, target, x, div)
     if delta_max is not None:
-        if delta_max < 0.0:
+        if not delta_max >= 0.0:   # NaN fails too
             raise ValueError("delta_max must be nonnegative")
         if noop.delta <= delta_max:
             return BudgetOutcome(noop, True, "delta", delta_max, (noop,))
-    elif epsilon_max < 0.0:
+    elif not epsilon_max >= 0.0:
         raise ValueError("epsilon_max must be nonnegative")
     _one(_origin_errors(schema, noop.x[None, :]))   # after the stay-put price
     lams = [oc.lam]

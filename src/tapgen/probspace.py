@@ -23,7 +23,6 @@ construction and safe to share across threads.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -180,40 +179,42 @@ class TargetSet:
 class DivergenceSpec:
     """An f-divergence D(y||z) = sum_i z_i f(y_i / z_i).
 
+    ``f`` and ``f_prime`` are numpy array functions computed entry by entry,
+    so a value rounds alike alone and inside any array; they take every
+    float (t <= 0, NaN and inf included) and keep NaN as NaN.
     ``f`` must be convex with f(1) = 0; both are probed at construction.
     ``f`` is expected to handle t = 0 by its right limit (0 for KL, 1 for
     chi-square) so that empty groups cost what the underlying infimum costs.
     """
 
     name: str
-    f: Callable[[float], float] = field(repr=False)
-    f_prime: Callable[[float], float] = field(repr=False)
+    f: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    f_prime: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
     def __post_init__(self) -> None:
-        if abs(self.f(1.0)) > 1e-12:
+        if abs(float(self.f(1.0))) > 1e-12:
             raise ValueError(f"divergence {self.name!r}: f(1) must be 0")
-        grid = np.linspace(0.01, 10.0, 200)
-        vals = np.array([self.f(t) for t in grid])
+        vals = np.asarray(self.f(np.linspace(0.01, 10.0, 200)), dtype=float)
         second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
         if np.any(second < -1e-9):
             raise ValueError(f"divergence {self.name!r}: f fails the convexity probe")
 
 
-def _kl_f(t: float) -> float:
-    if t <= 0.0:
-        return 0.0
-    return t * math.log(t)
+def _kl_f(t):
+    # the t <= 0 test is False for NaN, so NaN stays NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(t <= 0.0, 0.0, t * np.log(t))
 
 
-def _kl_f_prime(t: float) -> float:
-    return math.log(max(t, MASS_FLOOR)) + 1.0
+def _kl_f_prime(t):
+    return np.log(np.maximum(t, MASS_FLOOR)) + 1.0
 
 
-def _chi2_f(t: float) -> float:
+def _chi2_f(t):
     return (t - 1.0) ** 2
 
 
-def _chi2_f_prime(t: float) -> float:
+def _chi2_f_prime(t):
     return 2.0 * (t - 1.0)
 
 
@@ -236,23 +237,26 @@ def get_divergence(name: str) -> DivergenceSpec:
         raise ValueError(f"unknown divergence {name!r}; choose 'kl' or 'chi2'") from None
 
 
-def classify_region(y, t: TargetSet) -> str:
-    """Which of the four cases of the closed form applies at y.
+def _regions(s_w: np.ndarray, s_u: np.ndarray, p, q) -> tuple[np.ndarray, ...]:
+    """Masks of the closed form's regions A, B, C and D, one entry per row.
 
     Boundary points satisfy the inclusive inequalities of the cheaper region,
     so they land there; both case formulas agree on the boundary.
     """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound_b = np.where(1.0 - p <= 0.0, np.inf, (1.0 - s_w) * q / (1.0 - p))
+        bound_c = np.where(1.0 - q <= 0.0, np.inf, (1.0 - s_u) * p / (1.0 - q))
+    a = (s_w >= p) & (s_u <= q)
+    b = ~a & (s_w < p) & (s_u <= bound_b)
+    c = ~a & ~b & (s_u > q) & (s_w >= bound_c)
+    return a, b, c, ~(a | b | c)
+
+
+def classify_region(y, t: TargetSet) -> str:
+    """Which case (A-D) of the closed form applies at y; a one-row view."""
     s_w, s_u = t.masses(y)
-    p, q = t.p, t.q
-    if s_w >= p and s_u <= q:
-        return "A"
-    bound_b = math.inf if 1.0 - p <= 0.0 else (1.0 - s_w) * q / (1.0 - p)
-    if s_w < p and s_u <= bound_b:
-        return "B"
-    bound_c = math.inf if 1.0 - q <= 0.0 else (1.0 - s_u) * p / (1.0 - q)
-    if s_u > q and s_w >= bound_c:
-        return "C"
-    return "D"
+    masks = _regions(np.array([s_w]), np.array([s_u]), t.p, t.q)
+    return "ABCD"[np.concatenate(masks).argmax()]
 
 
 def target_distance(y, t: TargetSet, div: DivergenceSpec) -> float:
@@ -275,12 +279,6 @@ def target_distance_grad(y, t: TargetSet, div: DivergenceSpec) -> np.ndarray:
     return target_distance_batch(values[None, :], t, div)[1][0]
 
 
-def _elementwise(fn: Callable[[float], float]):
-    """fn on each entry: rows round exactly as the scalar closed form."""
-    ufunc = np.frompyfunc(fn, 1, 1)
-    return lambda t: ufunc(t).astype(float)
-
-
 def target_distance_batch(y: np.ndarray, t: TargetSet, div: DivergenceSpec,
                           p: np.ndarray | None = None,
                           q: np.ndarray | None = None
@@ -289,8 +287,8 @@ def target_distance_batch(y: np.ndarray, t: TargetSet, div: DivergenceSpec,
 
     Row i is measured against t's classes with thresholds p[i] and q[i]
     (t.p and t.q by default), which must be those of a valid TargetSet
-    over the same classes.  f and f' are applied per entry, so every row
-    rounds as the scalar closed form does and no row depends on the others.
+    over the same classes.  f and f' act entry by entry, so every row
+    rounds as it does alone and no row depends on the others.
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
@@ -298,24 +296,17 @@ def target_distance_batch(y: np.ndarray, t: TargetSet, div: DivergenceSpec,
     q = np.full(n, t.q) if q is None else np.asarray(q, dtype=float)
     w, u = list(t.desirable), list(t.undesirable)
     s_w, s_u = y[:, w].sum(axis=1), y[:, u].sum(axis=1)
-    f, fp = _elementwise(div.f), _elementwise(div.f_prime)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound_b = np.where(1.0 - p <= 0.0, np.inf, (1.0 - s_w) * q / (1.0 - p))
-        bound_c = np.where(1.0 - q <= 0.0, np.inf, (1.0 - s_u) * p / (1.0 - q))
-    a = (s_w >= p) & (s_u <= q)
-    b = ~a & (s_w < p) & (s_u <= bound_b)
-    c = ~a & ~b & (s_u > q) & (s_w >= bound_c)
-    d = ~(a | b | c)
+    _, b, c, d = _regions(s_w, s_u, p, q)
 
     def term(budget, mass):
         """budget * f(mass / budget), with the budget -> 0 limit."""
         out = np.where(mass <= 0.0, 0.0, np.inf)
         pos = budget > 0.0
-        out[pos] = budget[pos] * f(mass[pos] / budget[pos])
+        out[pos] = budget[pos] * div.f(mass[pos] / budget[pos])
         return out
 
     def slope(mass, budget):
-        return fp(mass / np.maximum(budget, MASS_FLOOR))
+        return div.f_prime(mass / np.maximum(budget, MASS_FLOOR))
 
     # the gradient floors the masses so saturated outputs stay finite
     fs_w, fs_u = np.maximum(s_w, MASS_FLOOR), np.maximum(s_u, MASS_FLOOR)

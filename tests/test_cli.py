@@ -386,6 +386,29 @@ class TestExitCodes:
                    "--out", str(tmp_path)])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["generate", "--lambda", "-1"], "--lambda"),
+        (["generate", "--lambda", "nan"], "--lambda"),
+        (["sweep", "--lambda", "-1"], "--lambda"),
+        (["sweep", "--lambda", "nan"], "--lambda"),
+        (["sweep", "--lambda", "inf"], "--lambda"),
+        (["generate", "--epsilon-max", "-1"], "--epsilon-max"),
+        (["generate", "--epsilon-max", "nan"], "--epsilon-max"),
+        (["generate", "--delta-max", "-0.5"], "--delta-max"),
+        (["generate", "--delta-max", "nan"], "--delta-max")],
+        ids=["generate-lambda-negative", "generate-lambda-nan",
+             "sweep-lambda-negative", "sweep-lambda-nan", "sweep-lambda-inf",
+             "epsilon-negative", "epsilon-nan", "delta-negative",
+             "delta-nan"])
+    def test_out_of_range_numeric_flag_is_2(self, ws, tmp_path, capsys, argv,
+                                            flag):
+        rc = main([*argv, "--config", ws["config"], "--model", ws["model"],
+                   "--individual", str(ws["idx"]),
+                   "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert flag in one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
     def test_verifier_without_calibration_is_2(self, ws, tmp_path):
         rc = main(["generate", "--config", ws["config"],
                    "--model", ws["model"], "--verifier", ws["verifier"],
@@ -472,15 +495,32 @@ class TestExitCodes:
         assert rc == EXIT_MISSING_MODEL
 
     def test_corrupt_candidate_is_3(self, ws, tmp_path, capsys):
+        cfg = load_config(ws["config"])
+        point = load_dataset(cfg)[0][ws["idx"]]
+        good = tmp_path / "good.json"
+        write_candidate(good, cfg.schema, TapCandidate(
+            x=point, x_tilde=point, lam=1.0, epsilon=0.0, delta=0.0,
+            objective=0.0, iterations=0), "tap", 0)
+        cases = [(b'{"kind": "something-else"}', ""), (NOT_UTF8, "")]
+        # json reads NaN, Infinity and integers beyond the float range; no
+        # feature value may be non-finite
+        for role, value in (("original", math.nan), ("perturbed", math.inf),
+                            ("original", "inf"), ("perturbed", 10 ** 400)):
+            payload = json.loads(good.read_text())
+            payload["features"][1][role] = value
+            cases.append((json.dumps(payload).encode(),
+                          repr(payload["features"][1]["name"])))
         bad = tmp_path / "bad.json"
-        for text in (b'{"kind": "something-else"}', NOT_UTF8):
+        for text, feature in cases:
             bad.write_bytes(text)
             rc = main(["verify", "--config", ws["config"],
                        "--model", ws["model"], "--verifier", ws["verifier"],
                        "--calibration", ws["calibration"],
-                       str(bad), "--out", str(tmp_path)])
+                       str(bad), "--out", str(tmp_path / "out")])
             assert rc == EXIT_SCHEMA
-            assert str(bad) in one_error_line(capsys)
+            line = one_error_line(capsys)
+            assert str(bad) in line and feature in line
+        assert not (tmp_path / "out" / "verdict.json").exists()
 
     def test_non_object_candidate_is_3(self, ws, tmp_path, capsys):
         bad = tmp_path / "list.json"
@@ -492,21 +532,30 @@ class TestExitCodes:
         assert rc == EXIT_SCHEMA
         assert "unknown kind" in one_error_line(capsys)
 
-    @pytest.mark.parametrize("text", [
-        b"[1, 2]", b"{not json", NOT_UTF8, b'{"kind": "something-else"}',
-        b'{"kind": "run-manifest", "args": {}}',
-        b'{"kind": "run-manifest", "command": "nope", "args": {}}',
-        b'{"kind": "run-manifest", "command": "train", "args": {}, '
-        b'"config_text": 5}',
-        b'{"kind": "run-manifest", "command": "pac-bound", "args": {}}'],
+    @pytest.mark.parametrize("text,reason", [
+        (b"[1, 2]", "unknown kind"),
+        (b"{not json", "not valid JSON"),
+        (NOT_UTF8, "not valid JSON"),
+        (b'{"kind": "something-else"}', "unknown kind"),
+        (b'{"kind": "run-manifest", "args": {}}', "invalid choice: 'None'"),
+        (b'{"kind": "run-manifest", "command": "nope", "args": {}}',
+         "invalid choice: 'nope'"),
+        (b'{"kind": "run-manifest", "command": "train", "args": {}, '
+         b'"config_text": 5}', "config_text is not text"),
+        (b'{"kind": "run-manifest", "command": "pac-bound", "args": {}}',
+         "the following arguments are required: --n, --k, --d")],
         ids=["list", "invalid", "not-utf8", "other-kind", "no-command",
              "unknown-command", "config-text-not-text", "refused-args"])
     def test_replay_of_malformed_manifest_is_schema_error(self, tmp_path,
-                                                         text):
+                                                         capsys, text,
+                                                         reason):
         path = tmp_path / "manifest.json"
         path.write_bytes(text)
-        with pytest.raises(SchemaMismatchError, match=str(path)):
+        with pytest.raises(SchemaMismatchError, match=str(path)) as info:
             replay_manifest(path, tmp_path / "out")
+        assert reason in str(info.value)
+        # a library call: the refusal is the error, nothing is printed
+        assert capsys.readouterr() == ("", "")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key,value", [

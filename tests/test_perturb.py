@@ -285,9 +285,16 @@ class TestMeetBudget:
             meet_budget(bench_model, bench_schema, bench_cost, bench_target,
                         mild_point, OptConfig(), epsilon_max=1.0,
                         delta_max=0.1)
-        with pytest.raises(ValueError):
-            meet_budget(bench_model, bench_schema, bench_cost, bench_target,
-                        mild_point, OptConfig(), delta_max=-0.5)
+        # a NaN budget fails every comparison, so it is refused by name
+        for budget in ({"delta_max": -0.5}, {"delta_max": math.nan},
+                       {"epsilon_max": -1.0}, {"epsilon_max": math.nan}):
+            with pytest.raises(ValueError, match=next(iter(budget))):
+                meet_budget(bench_model, bench_schema, bench_cost,
+                            bench_target, mild_point, OptConfig(), **budget)
+        # an infinite distance ceiling is met by staying put
+        out = meet_budget(bench_model, bench_schema, bench_cost, bench_target,
+                          mild_point, OptConfig(), delta_max=math.inf)
+        assert out.met and out.candidate.is_noop
 
 
 class TestFrontierSweep:

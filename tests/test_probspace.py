@@ -22,11 +22,15 @@ from tapgen.probspace import (
     kl_divergence,
     project_to_target,
     target_distance,
+    target_distance_batch,
     target_distance_grad,
 )
 
 KL = kl_divergence()
 CHI2 = chi_square_divergence()
+# squared Hellinger: a third convex spec, written as array functions
+HELLINGER = DivergenceSpec("hellinger", lambda v: (np.sqrt(v) - 1.0) ** 2,
+                           lambda v: 1.0 - 1.0 / np.sqrt(v))
 
 # Frozen via independent evaluation: grid/SLSQP oracles and plain arithmetic.
 BINARY_KL_DISTANCE = 0.2231435513142097  # 0.5 ln(0.5/0.8) + 0.5 ln(0.5/0.2)
@@ -93,7 +97,8 @@ class TestTargetDistance:
                 assert d > 0.0
 
     @pytest.mark.parametrize("k", [2, 3, 4])
-    @pytest.mark.parametrize("div", [KL, CHI2], ids=["kl", "chi2"])
+    @pytest.mark.parametrize("div", [KL, CHI2, HELLINGER],
+                             ids=["kl", "chi2", "hellinger"])
     def test_matches_oracle(self, k, div):
         rng = np.random.default_rng(100 + k)
         for _ in range(60):
@@ -341,3 +346,44 @@ class TestProbVectorAndDivergences:
     def test_probe_rejects_concave(self):
         with pytest.raises(ValueError):
             DivergenceSpec("bad", lambda v: -((v - 1.0) ** 2), lambda v: -2 * (v - 1))
+
+
+class TestArrayContract:
+    """f and f' are array functions: one call per closed-form term."""
+
+    @staticmethod
+    def spy():
+        calls = {"f": 0, "f_prime": 0}
+
+        def counted(name, fn):
+            def wrapped(v):
+                calls[name] += 1
+                return fn(v)
+            return wrapped
+
+        spec = DivergenceSpec("spy", counted("f", KL.f),
+                              counted("f_prime", KL.f_prime))
+        calls.update(f=0, f_prime=0)   # the construction probes count apart
+        return spec, calls
+
+    @pytest.mark.parametrize("n", [1, 840])
+    def test_one_call_per_region_term(self, t_three, n):
+        # rows cycle through regions A, B, C and D, so every term runs
+        y = np.tile([[0.7, 0.1, 0.2], [0.3, 0.1, 0.6], [0.65, 0.3, 0.05],
+                     [0.2, 0.5, 0.3]], (n // 4 + 1, 1))[:n]
+        spec, calls = self.spy()
+        dist, grad = target_distance_batch(y, t_three, spec)
+        assert calls["f"] <= 7 and calls["f_prime"] <= 7
+        want_dist, want_grad = target_distance_batch(y, t_three, KL)
+        assert np.array_equal(dist, want_dist)
+        assert np.array_equal(grad, want_grad)
+
+    @pytest.mark.parametrize("div", [KL, CHI2, HELLINGER],
+                             ids=["kl", "chi2", "hellinger"])
+    @pytest.mark.parametrize("y,t", [
+        ([math.nan, 0.5], TargetSet(2, (0,), (), 0.8, 1.0)),
+        ([0.2, math.nan, 0.3], TargetSet(3, (0,), (1,), 0.6, 0.2)),
+    ], ids=["binary", "three-class"])
+    def test_nan_output_gives_nan_distance(self, div, y, t):
+        assert math.isnan(div.f(math.nan))
+        assert math.isnan(target_distance(y, t, div))

@@ -1,5 +1,6 @@
 """Every exported name resolves: ``__all__`` lists nothing that is gone;
-and one module owns the JSON file format."""
+one module owns the JSON file format; and no module lifts a Python scalar
+function over an array."""
 import ast
 import importlib
 import pkgutil
@@ -38,3 +39,14 @@ def test_one_module_owns_the_json_format():
     users = [name for name in MODULES
              if any(m.split(".")[0] == "json" for m in imported(name))]
     assert users == ["documents"]
+
+
+def test_no_module_lifts_scalar_functions_over_arrays():
+    # a per-entry Python call per array entry is what the array contracts
+    # (DivergenceSpec's f and f' first) replaced
+    lifted = [(name, node.attr) for name in MODULES
+              for node in ast.walk(ast.parse(
+                  Path(tapgen.__path__[0], f"{name}.py").read_text()))
+              if isinstance(node, ast.Attribute)
+              and node.attr in ("frompyfunc", "vectorize")]
+    assert lifted == []
