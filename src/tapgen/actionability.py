@@ -183,7 +183,7 @@ class FeatureSchema:
             ok = np.where(self.binary_mask, near(x, 0.0) | near(x, 1.0),
                           near(x, np.rint(x)) | ~self.rounded_mask).all(axis=1)
         for idx in self.onehot_index:
-            ok &= near(x[:, idx].sum(axis=1), 1.0)
+            ok &= near(np.cumsum(x[:, idx], axis=1)[:, -1], 1.0)
         return ok
 
 
@@ -303,11 +303,15 @@ def cost_batch(x: np.ndarray, x_tilde: np.ndarray, cm: CostModel,
     value = np.sum(quad * step ** 2 + lin * step
                    + trig * np.maximum(step, 0.0), axis=1)
     grad = 2.0 * quad * step + lin + trig * (step > 0.0)
+    n = len(x_tilde)
+    if n == 1:   # numpy multiplies a column gather of one row with BLAS, but
+        # of more rows in column order; so a lone row is priced as two
+        x, x_tilde = np.repeat(x, 2, axis=0), np.repeat(x_tilde, 2, axis=0)
     for term in cm.transitions:
         idx = _resolve_group(schema, term)
         pull = (x[:, None, idx] @ term.matrix)[:, 0]
-        value = value + (x_tilde[:, None, idx] @ pull[:, :, None])[:, 0, 0]
-        grad[:, idx] += pull
+        value = value + (x_tilde[:, None, idx] @ pull[:, :, None])[:n, 0, 0]
+        grad[:, idx] += pull[:n]
     return value, grad
 
 
@@ -324,7 +328,8 @@ def penalties_batch(x_tilde: np.ndarray, schema: FeatureSchema,
     grad = pc.actionable_weight * (
         (x_tilde > hi).astype(float) - (x_tilde < lo).astype(float))
     for idx in schema.onehot_index:
-        drift = 1.0 - x_tilde[:, idx].sum(axis=1)
+        # in column order, as numpy sums a gather of two rows or more
+        drift = 1.0 - np.cumsum(x_tilde[:, idx], axis=1)[:, -1]
         value = value + pc.coherence_weight * drift * drift
         grad[:, idx] += (-2.0 * pc.coherence_weight * drift)[:, None]
     return value, grad

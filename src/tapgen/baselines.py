@@ -119,18 +119,17 @@ def wachter_counterfactual_batch(model: DenseClassifier,
         p_w = cache.probs[:, desired_class]
         upstream = np.zeros_like(cache.probs)
         upstream[:, desired_class] = 2.0 * (p_w - 1.0)
-        lam = lams[rows]
-        loss = (p_w - 1.0) ** 2 + lam * np.sum(np.abs(x_now - x[rows])
-                                                / scale, axis=1)
-        lam_eff = lam if cost_on else np.zeros_like(lam)
+        l1 = np.sum(np.abs(x_now - x[rows]) / scale, axis=1)
+        lam_eff = lams[rows] if cost_on else np.zeros(len(rows))
         grad = (input_gradient_batch(model, cache, upstream)
                 + lam_eff[:, None] * np.sign(x_now - x[rows]) / scale)
-        return loss, grad * std
+        return ((p_w - 1.0) ** 2, l1), grad * std
 
     # the loss is tracked at each start-of-step point, so the last of the
     # max_iters steps would never be scored and is not taken
-    u_best = _descend(evaluate, (x - mean) / std, max(max_iters - 1, 0), lr,
-                      max_iters // 2,
+    u_best = _descend(evaluate, lambda rows, fit, l1: fit + lams[rows] * l1,
+                      (x - mean) / std, np.column_stack([x, lo, hi]),
+                      max(max_iters - 1, 0), lr, max_iters // 2,
                       bounds=((lo - mean) / std, (hi - mean) / std))[0]
     x_tilde = cond_batch(u_best * std + mean, schema, (lo, hi))
 

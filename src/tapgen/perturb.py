@@ -17,8 +17,10 @@ Every search here (a frontier over lam, a budget walk, the repair attempts)
 runs as one batched descent over an (n, d) matrix, one row per run; each
 row keeps its own origin, box, lam, thresholds, start, moments, best
 iterate, patience counter and divergence flag, so rows never influence
-each other.  A ``_batch`` twin runs many individuals in that one descent
-and returns, in order, each one's result or the exception it raised.
+each other.  While the cost is muted, rows that differ only in lam share
+their steps, which are bit-identical to the steps each would take alone.
+A ``_batch`` twin runs many individuals in that one descent and returns,
+in order, each one's result or the exception it raised.
 
 Budgets are met by walking lam geometrically: down for a delta ceiling
 (spend more until close enough), up for an epsilon ceiling (spend less until
@@ -176,46 +178,68 @@ def _adam_step(u: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
     return u - lr * m_hat / (np.sqrt(v_hat) + 1e-8), m, v
 
 
-def _descend(evaluate, u: np.ndarray, steps: int, lr: float, warmup: int,
-             tol: float = 0.0, patience: float = math.inf, bounds=None):
+def _descend(evaluate, objective, u: np.ndarray, keys: np.ndarray,
+             steps: int, lr: float, warmup: int, tol: float = 0.0,
+             patience: float = math.inf, bounds=None):
     """Normalized-ADAM descent on every row of u at once.
 
-    ``evaluate(rows, u_rows, cost_on)`` gives the tracked objective and the
-    step gradient of those rows; ``cost_on`` is False for the first
-    ``warmup`` evaluations.  A row stops after warmup once its objective
-    moved less than ``tol`` for ``patience`` steps running, or at once when
-    it turns non-finite.  ``bounds`` (two (n, d) arrays) clips every step
-    of each row.  Returns the best rows, steps taken, the step each row
-    diverged at (-1: never, 0: at the start) and the (steps + 1, n)
-    objective history.
+    ``evaluate(reps, u_reps, cost_on)`` gives the lam-free parts of the
+    objective (a tuple of arrays) and the step gradient at points u_reps,
+    point j being row reps[j]'s; ``cost_on`` is False for the first
+    ``warmup`` evaluations.  ``objective(rows, *parts)`` is the tracked
+    objective of rows, each with its own lam.  ``keys`` holds, per row,
+    all but lam that a step reads: while the cost is muted, the first row
+    of each bit-identical key steps for all of them, and every row keeps
+    its own objective, best iterate and divergence step.  A row stops
+    after warmup once its objective moved less than ``tol`` for
+    ``patience`` steps running, or at once when it turns non-finite.
+    ``bounds`` (two (n, d) arrays, in the key) clips each row's steps.
+    Returns the best rows, steps taken, the step each row diverged at
+    (-1: never, 0: at the start) and the (steps + 1, n) objective history.
     """
     n = u.shape[0]
-    u = u.copy()
+    # reps[j]: the row whose point j is; at[i]: the point row i sits at
+    reps = at = every = np.arange(n)
+    if warmup > 0:
+        bits = np.ascontiguousarray(keys, dtype=float).view(np.int64)
+        reps, at = (a.ravel() for a in np.unique(
+            bits, axis=0, return_index=True, return_inverse=True)[1:])
+    u = u[reps]
+    parts, grad = evaluate(reps, u, warmup < 1)
+    value = objective(every, *(part[at] for part in parts))
     history = np.full((steps + 1, n), np.nan)
-    value, grad = evaluate(np.arange(n), u, warmup < 1)
     history[0] = value
-    diverged = np.where(np.isfinite(value) & np.isfinite(grad).all(1), -1, 0)
+    diverged = np.where(np.isfinite(value) & np.isfinite(grad).all(1)[at],
+                        -1, 0)
     active = diverged < 0
-    best_value, best_u, prev = value.copy(), u.copy(), value.copy()
+    best_value, best_u, prev = value.copy(), u[at], value.copy()
     m, v = np.zeros_like(u), np.zeros_like(u)
     stall, iterations = np.zeros((2, n), dtype=int)
     for t in range(1, steps + 1):
+        if t == warmup:   # the cost switches on: every row steps alone
+            u, grad, m, v = u[at], grad[at], m[at], v[at]
+            reps = at = every
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
-        u_rows, m[rows], v[rows] = _adam_step(u[rows], grad[rows], m[rows],
-                                              v[rows], t, lr)
+        # row rows[i] is at point pts[k[i]]; with the cost on, rows are points
+        pts, k = ((rows, slice(None)) if at is every
+                  else np.unique(at[rows], return_inverse=True))
+        u_pts, m[pts], v[pts] = _adam_step(u[pts], grad[pts], m[pts],
+                                           v[pts], t, lr)
         if bounds is not None:
-            u_rows = np.clip(u_rows, bounds[0][rows], bounds[1][rows])
-        u[rows] = u_rows
-        value, grad[rows] = evaluate(rows, u_rows, t + 1 > warmup)
+            u_pts = np.clip(u_pts, bounds[0][reps[pts]], bounds[1][reps[pts]])
+        u[pts] = u_pts
+        parts, step = evaluate(reps[pts], u_pts, t + 1 > warmup)
+        grad[pts] = step
+        value = objective(rows, *(part[k] for part in parts))
         history[t, rows] = value
         iterations[rows] = t
-        ok = np.isfinite(value) & np.isfinite(grad[rows]).all(1)
+        ok = np.isfinite(value) & np.isfinite(step).all(1)[k]
         diverged[rows[~ok]] = t
         better = ok & (value < best_value[rows])
         best_value[rows[better]] = value[better]
-        best_u[rows[better]] = u_rows[better]
+        best_u[rows[better]] = u_pts[k][better]
         if t > warmup:
             stall[rows] = np.where(np.abs(value - prev[rows]) < tol,
                                    stall[rows] + 1, 0)
@@ -308,7 +332,7 @@ def _search(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
     starts = x if starts is None else starts
 
     def evaluate(rows, u_now, cost_on):
-        """Full-lam objective for tracking, muted-lam gradient for stepping."""
+        """Lam-free objective parts for tracking, muted-lam step gradient."""
         x_now = u_now * std + mean
         cache = forward_cache_batch(model, x_now)
         dist, up = target_distance_batch(cache.probs, target, div,
@@ -316,12 +340,11 @@ def _search(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
         price, price_grad = cost_batch(x[rows], x_now, cm, schema)
         pen, pen_grad = penalties_batch(x_now, schema, penalty,
                                         (lo[rows], hi[rows]))
-        lam = lams[rows]
-        lam_eff = lam if cost_on else np.zeros_like(lam)
+        lam_eff = lams[rows] if cost_on else np.zeros(len(rows))
         step = (input_gradient_batch(model, cache, up)
                 + lam_eff[:, None] * price_grad + pen_grad) * std
         step[:, frozen] = 0.0
-        return dist + lam * price + pen, step
+        return (dist, price, pen), step
 
     # Two-phase schedule: the cost term is muted for the first half of the
     # run and switches on at full weight afterwards.  From the origin the
@@ -331,8 +354,9 @@ def _search(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
     # retrace the trade-off curve covers both regimes, and the best
     # full-objective iterate is what gets returned either way.
     best_u, iterations, diverged, history = _descend(
-        evaluate, (starts - mean) / std, oc.max_iters, oc.lr,
-        oc.max_iters // 2, oc.tol, oc.patience)
+        evaluate, lambda rows, dist, price, pen: dist + lams[rows] * price + pen,
+        (starts - mean) / std, np.column_stack([starts, x, lo, hi, p, q]),
+        oc.max_iters, oc.lr, oc.max_iters // 2, oc.tol, oc.patience)
     kept = np.flatnonzero(diverged < 0)
     # coordinates that barely moved snap back exactly before rounding
     moved = np.where(np.abs(best_u[kept] - u_origin[kept]) < oc.snap_tol,
@@ -388,8 +412,8 @@ def meet_budget(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
     """
     if (epsilon_max is None) == (delta_max is None):
         raise ValueError("give exactly one of epsilon_max or delta_max")
-    if trials < 1 or factor <= 1.0:
-        raise ValueError("need trials >= 1 and factor > 1")
+    if trials < 1 or not 1.0 < factor < math.inf:   # NaN fails too
+        raise ValueError("need trials >= 1 and a finite factor > 1")
     noop = trivial_candidate(model, schema, cm, target, x, div)
     if delta_max is not None:
         if not delta_max >= 0.0:   # NaN fails too
@@ -453,6 +477,8 @@ def frontier_sweep_batch(model: DenseClassifier, schema: FeatureSchema,
     descent: one SweepResult per individual, in order, or the ValueError
     its origin raised."""
     lams = [float(lam) for lam in lambdas]
+    if not all(0.0 <= lam < math.inf for lam in lams):   # NaN fails too
+        raise ValueError("lambdas must be finite and nonnegative")
     xs = _individuals(model, schema, target, xs)
     out = _origin_errors(schema, xs)
     good = [i for i, err in enumerate(out) if err is None]

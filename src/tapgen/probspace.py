@@ -166,9 +166,7 @@ class TargetSet:
             raise ValueError(
                 f"vector has {values.size} classes, target set expects {self.num_classes}"
             )
-        s_w = float(values[list(self.desirable)].sum()) if self.desirable else 0.0
-        s_u = float(values[list(self.undesirable)].sum()) if self.undesirable else 0.0
-        return s_w, s_u
+        return tuple(float(s[0]) for s in _masses(values[None, :], self))
 
     def contains(self, y, tol: float = 1e-9) -> bool:
         s_w, s_u = self.masses(y)
@@ -252,6 +250,13 @@ def _regions(s_w: np.ndarray, s_u: np.ndarray, p, q) -> tuple[np.ndarray, ...]:
     return a, b, c, ~(a | b | c)
 
 
+def _masses(y: np.ndarray, t: TargetSet) -> tuple[np.ndarray, ...]:
+    """(S_W, S_U) of every row, added in class order, as numpy adds a column
+    gather of two rows or more (a lone row it adds pairwise)."""
+    return tuple(np.cumsum(y[:, list(c)], axis=1)[:, -1] if c else
+                 np.zeros(len(y)) for c in (t.desirable, t.undesirable))
+
+
 def classify_region(y, t: TargetSet) -> str:
     """Which case (A-D) of the closed form applies at y; a one-row view."""
     s_w, s_u = t.masses(y)
@@ -295,7 +300,7 @@ def target_distance_batch(y: np.ndarray, t: TargetSet, div: DivergenceSpec,
     p = np.full(n, t.p) if p is None else np.asarray(p, dtype=float)
     q = np.full(n, t.q) if q is None else np.asarray(q, dtype=float)
     w, u = list(t.desirable), list(t.undesirable)
-    s_w, s_u = y[:, w].sum(axis=1), y[:, u].sum(axis=1)
+    s_w, s_u = _masses(y, t)
     _, b, c, d = _regions(s_w, s_u, p, q)
 
     def term(budget, mass):

@@ -531,3 +531,38 @@ def per_row_cw(model, schema, cm, target: TargetSet, x: np.ndarray,
                               trials=tuple(trials))
     return BaselineResult(candidate=fallback if fallback is not None
                           else trials[-1], flipped=False, trials=tuple(trials))
+
+
+def spy_descents(monkeypatch, module) -> list[dict]:
+    """Run each ``_descend`` call that ``module`` makes twice: with the keys
+    it was given, and with all-distinct keys (``np.arange(n)[:, None]``), so
+    that every row steps alone, as before rows shared their muted steps.
+    Returns the log, one dict per call: both results, the number of distinct
+    keys, the warmup, and (rows, cost_on) for each ``evaluate`` call of the
+    shared run.  The shared result is what the caller gets back."""
+    real, log = module._descend, []
+
+    def spy(evaluate, objective, u, keys, steps, lr, warmup, *args, **kw):
+        calls = []
+
+        def counted(rows, u_rows, cost_on):
+            calls.append((len(rows), cost_on))
+            return evaluate(rows, u_rows, cost_on)
+
+        shared = real(counted, objective, u, keys, steps, lr, warmup, *args,
+                      **kw)
+        alone = real(evaluate, objective, u, np.arange(len(u))[:, None],
+                     steps, lr, warmup, *args, **kw)
+        log.append({"shared": shared, "alone": alone, "calls": calls,
+                    "keys": len(np.unique(keys, axis=0)), "warmup": warmup})
+        return shared
+
+    monkeypatch.setattr(module, "_descend", spy)
+    return log
+
+
+def same_bits(shared, alone) -> bool:
+    """Whether two ``_descend`` results (best rows, iterations, divergence
+    steps, history) agree bit for bit, NaN included."""
+    return all(a.dtype == b.dtype and a.shape == b.shape
+               and a.tobytes() == b.tobytes() for a, b in zip(shared, alone))

@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from oracles import same_bits, spy_descents
+from tapgen import baselines
 from tapgen.actionability import (
     CostModel,
     Feature,
@@ -99,6 +101,18 @@ class TestWachter:
                  if int(np.argmax(predict_proba(model,
                                                 np.asarray(c.x_tilde)))) == 1]
         assert out.candidate.lam == max(c.lam for c in flips)
+
+    def test_muted_steps_shared_exactly(self, blob, monkeypatch):
+        model, x, _, schema, cm, target = blob
+        pts = wrong_side_points(model, x, 3)
+        log = spy_descents(monkeypatch, baselines)
+        wachter_counterfactual_batch(model, schema, cm, target, pts, x,
+                                     max_iters=120)
+        [call] = log
+        assert call["keys"] == 3
+        muted = [rows for rows, cost_on in call["calls"] if not cost_on]
+        assert len(muted) == call["warmup"] == 60 and max(muted) == 3
+        assert same_bits(call["shared"], call["alone"])
 
     def test_trials_follow_ascending_schedule(self, blob):
         model, x, _, schema, cm, target = blob

@@ -274,6 +274,32 @@ class TestBatchShape:
         check_net_rows(random_net(3), np.ones((1, 4)), np.ones((1, 3)))
 
     @PROPERTY
+    @given(seed=SEEDS, n=st.integers(2, 12), per_row=st.booleans())
+    def test_each_row_rounds_as_it_does_alone(self, seed, n, per_row):
+        # a shared descent steps one row where the rows it stands for would
+        # have stepped in a larger batch, so batch size must not round
+        # differently: transitions, the 8-wide one-hot group and a target
+        # with 8 desirable classes included
+        schema, cm, x, x_tilde = adult_rows(seed, n, per_row=per_row)
+        origins = row_origins(x, n)
+        lo, hi = schema.box_for(origins)
+        wide = TargetSet(12, tuple(range(8)), (8, 9, 10), 0.6, 0.3)
+        y = np.random.default_rng(seed).dirichlet(np.ones(12), n)
+        whole = (*cost_batch(origins, x_tilde, cm, schema),
+                 *penalties_batch(x_tilde, schema, PenaltyConfig(), (lo, hi)),
+                 *target_distance_batch(y, wide, kl_divergence()),
+                 schema.coherent_rows(x_tilde))
+        for i in range(n):
+            one = slice(i, i + 1)
+            alone = (*cost_batch(origins[one], x_tilde[one], cm, schema),
+                     *penalties_batch(x_tilde[one], schema, PenaltyConfig(),
+                                      (lo[one], hi[one])),
+                     *target_distance_batch(y[one], wide, kl_divergence()),
+                     schema.coherent_rows(x_tilde[one]))
+            for a, b in zip(whole, alone):
+                assert a[one].tobytes() == b.tobytes()
+
+    @PROPERTY
     @given(seed=SEEDS, n=st.integers(2, 10))
     def test_permuting_rows_permutes_results(self, seed, n):
         perm = np.random.default_rng(seed).permutation(n)

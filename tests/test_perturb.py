@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import same_bits, spy_descents
+from tapgen import perturb
 from tapgen.actionability import CostModel, Feature, FeatureSchema, QuadraticTerm
 from tapgen.netcore import predict_proba
 from tapgen.perturb import (
@@ -13,6 +15,7 @@ from tapgen.perturb import (
     FRONTIER_COLUMNS,
     OptConfig,
     frontier_sweep,
+    frontier_sweep_batch,
     generate_candidate,
     meet_budget,
     repair_on_rejection,
@@ -296,6 +299,29 @@ class TestMeetBudget:
                           mild_point, OptConfig(), delta_max=math.inf)
         assert out.met and out.candidate.is_noop
 
+    @pytest.mark.parametrize("factor", [1.0, 0.5, -2.0, math.nan, math.inf])
+    def test_factor_must_be_finite_and_above_one(self, bench_model,
+                                                 bench_schema, bench_cost,
+                                                 bench_target, mild_point,
+                                                 factor):
+        with pytest.raises(ValueError, match="factor"):
+            meet_budget(bench_model, bench_schema, bench_cost, bench_target,
+                        mild_point, OptConfig(**FAST), delta_max=1e-6,
+                        factor=factor)
+
+    def test_walk_shares_its_muted_steps_exactly(self, bench_model,
+                                                 bench_schema, bench_cost,
+                                                 bench_target, mild_point,
+                                                 monkeypatch):
+        log = spy_descents(monkeypatch, perturb)
+        out = meet_budget(bench_model, bench_schema, bench_cost, bench_target,
+                          mild_point, OptConfig(lam=1.0, **FAST),
+                          delta_max=1e-6, trials=4)
+        assert len(out.trials) == 4
+        [call] = log
+        assert call["keys"] == 1
+        assert same_bits(call["shared"], call["alone"])
+
 
 class TestFrontierSweep:
     def test_sorted_with_noop(self, bench_model, bench_schema, bench_cost,
@@ -328,6 +354,70 @@ class TestFrontierSweep:
         assert len(sweep.failures) == 2
         assert [lam for lam, _ in sweep.failures] == [0.1, 1.0]
         assert len(sweep.candidates) == 1   # the noop survives
+
+    @pytest.mark.parametrize("lam", [-1.0, -1e-300, math.inf,
+                                     -math.inf, math.nan])
+    def test_rejects_bad_lambda(self, bench_model, bench_schema, bench_cost,
+                                bench_target, mild_point, lam):
+        for sweep in (frontier_sweep, frontier_sweep_batch):
+            x = mild_point if sweep is frontier_sweep else mild_point[None, :]
+            with pytest.raises(ValueError, match="lambdas"):
+                sweep(bench_model, bench_schema, bench_cost, bench_target, x,
+                      [0.5, lam], OptConfig(**FAST))
+
+
+class TestSharedWarmup:
+    """Rows whose keys match share their muted steps, bit for bit what each
+    row does alone (``oracles.spy_descents`` reruns every descent with
+    all-distinct keys)."""
+
+    def test_frontier_matches_rows_alone(self, bench_data, bench_model,
+                                         bench_schema, bench_cost,
+                                         bench_target, mild_point,
+                                         monkeypatch):
+        _, x, _ = bench_data
+        xs = np.vstack([mild_point, x[:2]])
+        log = spy_descents(monkeypatch, perturb)
+        frontier_sweep_batch(bench_model, bench_schema, bench_cost,
+                             bench_target, xs, [0.0, *np.logspace(-2, 2, 5)],
+                             OptConfig(**FAST))
+        [call] = log
+        assert call["keys"] == 3
+        assert same_bits(call["shared"], call["alone"])
+
+    def test_one_row_per_key_while_muted(self, bench_data, bench_model,
+                                         bench_schema, bench_cost,
+                                         bench_target, mild_point,
+                                         monkeypatch):
+        _, x, _ = bench_data
+        log = spy_descents(monkeypatch, perturb)
+        frontier_sweep_batch(bench_model, bench_schema, bench_cost,
+                             bench_target, np.vstack([mild_point, x[:1]]),
+                             np.logspace(-2, 2, 5), OptConfig(**FAST))
+        [call] = log
+        muted = [rows for rows, cost_on in call["calls"] if not cost_on]
+        loud = [rows for rows, cost_on in call["calls"] if cost_on]
+        assert len(muted) == call["warmup"] == FAST["max_iters"] // 2
+        assert muted[0] == 2 and max(muted) == 2
+        assert loud[0] == 10
+
+    def test_muted_divergence_of_one_member(self, bench_model, bench_schema,
+                                            bench_cost, bench_target,
+                                            mild_point, monkeypatch):
+        # lam * price overflows once the shared point has moved, so the
+        # huge-lam row stops in the muted phase and its group mates go on
+        log = spy_descents(monkeypatch, perturb)
+        with np.errstate(over="ignore"):
+            sweep = frontier_sweep(bench_model, bench_schema, bench_cost,
+                                   bench_target, mild_point,
+                                   [0.1, 1.0, 1e308], OptConfig(**FAST))
+        [call] = log
+        assert same_bits(call["shared"], call["alone"])
+        diverged = call["shared"][2]
+        assert diverged[0] == diverged[1] == -1
+        assert 1 <= diverged[2] <= call["warmup"]
+        assert [lam for lam, _ in sweep.failures] == [1e308]
+        assert len(sweep.candidates) == 3
 
 
 class TestRepair:
@@ -405,6 +495,24 @@ class TestRepair:
         ]
         for a1, a2 in zip(runs[0].attempts, runs[1].attempts):
             assert np.array_equal(a1.candidate.x_tilde, a2.candidate.x_tilde)
+
+    def test_strategies_share_muted_steps_exactly(self, bench_model,
+                                                  bench_schema, bench_cost,
+                                                  bench_target,
+                                                  bench_verifier,
+                                                  bench_calibration,
+                                                  rejected, monkeypatch):
+        log = spy_descents(monkeypatch, perturb)
+        never = dataclasses.replace(bench_calibration, gamma=0.0)
+        out = repair_on_rejection(bench_model, bench_verifier, never,
+                                  bench_schema, bench_cost, bench_target,
+                                  rejected, OptConfig(lam=1.0, **FAST))
+        assert len(out.attempts) == 6
+        [call] = log
+        # the two decrease_lambda rows share a key; the shrunk targets and
+        # the jittered starts each have their own
+        assert call["keys"] == 5
+        assert same_bits(call["shared"], call["alone"])
 
     def test_unknown_strategy(self, bench_model, bench_schema, bench_cost,
                               bench_target, bench_verifier, bench_calibration,
