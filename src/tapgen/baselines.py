@@ -23,8 +23,7 @@ from .netcore import (
     logit_input_gradient_batch,
     predict_proba_batch,
 )
-from .perturb import (TapCandidate, _adam_step, _descend, _individuals, _one,
-                      _price)
+from .perturb import TapCandidate, _descend, _individuals, _one, _price
 from .probspace import DivergenceSpec, TargetSet
 
 __all__ = [
@@ -52,6 +51,11 @@ def mad_weights(train_x: np.ndarray) -> np.ndarray:
     med = np.median(train_x, axis=0)
     mad = np.median(np.abs(train_x - med), axis=0)
     return np.where(mad > 0.0, mad, 1.0)
+
+
+def _check_descent(lr: float, max_iters: int) -> None:
+    if not (0.0 < lr < math.inf and max_iters >= 1):   # NaN fails too
+        raise ValueError("need a finite lr > 0 and max_iters >= 1")
 
 
 def wachter_counterfactual(model: DenseClassifier, schema: FeatureSchema,
@@ -103,6 +107,7 @@ def wachter_counterfactual_batch(model: DenseClassifier,
     lambdas = sorted(float(v) for v in lambdas)
     if not lambdas or lambdas[0] <= 0.0:
         raise ValueError("lambdas must be positive")
+    _check_descent(lr, max_iters)
     scale = mad_weights(train_x)
 
     labels = np.argmax(predict_proba_batch(model, xs), axis=1)
@@ -125,11 +130,10 @@ def wachter_counterfactual_batch(model: DenseClassifier,
                 + lam_eff[:, None] * np.sign(x_now - x[rows]) / scale)
         return ((p_w - 1.0) ** 2, l1), grad * std
 
-    # the loss is tracked at each start-of-step point, so the last of the
-    # max_iters steps would never be scored and is not taken
+    # max_iters scored points: the start and max_iters - 1 steps
     u_best = _descend(evaluate, lambda rows, fit, l1: fit + lams[rows] * l1,
                       (x - mean) / std, np.column_stack([x, lo, hi]),
-                      max(max_iters - 1, 0), lr, max_iters // 2,
+                      max_iters - 1, lr, max_iters // 2,
                       bounds=((lo - mean) / std, (hi - mean) / std))[0]
     x_tilde = cond_batch(u_best * std + mean, schema, (lo, hi))
 
@@ -166,9 +170,10 @@ def cw_l2(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
     The point is reparameterized through tanh so it always stays inside the
     schema's global bounds, then each bisection step on the margin weight c
     runs an adaptive descent on ||x_tilde - x||^2 + c * hinge(margin).  The
-    successful attack with the smallest l2 wins.  No rounding, no per-
-    individual box: the output is generally incoherent and may move
-    immutable features, which is the point of this baseline.
+    successful attack with the smallest l2 wins; a step that never flips
+    returns x itself, at epsilon 0.  No rounding, no per-individual box:
+    the output is generally incoherent and may move immutable features,
+    which is the point of this baseline.
     """
     return _one(cw_l2_batch(model, schema, cm, target,
                             schema.check_vector(x)[None, :], attack_class,
@@ -183,35 +188,65 @@ def cw_l2_batch(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
                 max_iters: int = 200, kappa: float = 0.0,
                 div: DivergenceSpec | None = None) -> list:
     """:func:`cw_l2` for every row of an (m, d) matrix: each bisection step
-    attacks all individuals as rows of one descent, each row with its own
-    c bracket and best point.  One BaselineResult per individual, in order,
+    is one ``_descend`` call over all individuals, each row with its own c
+    bracket and best point.  One BaselineResult per individual, in order,
     or the ValueError for a point already in the attack class."""
     xs = _individuals(model, schema, target, xs)
     if not 0 <= attack_class < model.num_classes:
         raise ValueError("attack_class out of range")
     if bisection_steps < 1:
         raise ValueError("need at least one bisection step")
-    if not (0.0 < float(c_range[0]) < float(c_range[1])):
-        raise ValueError("c_range must satisfy 0 < lo < hi")
+    if not (0.0 < float(c_range[0]) < float(c_range[1]) < math.inf
+            and 0.0 <= kappa < math.inf):   # NaN fails too
+        raise ValueError("need 0 < c_range[0] < c_range[1] < inf and a "
+                         "finite kappa >= 0")
+    _check_descent(lr, max_iters)
     labels = np.argmax(predict_proba_batch(model, xs), axis=1)
     out = [ValueError("point is already classified as the attack class")
            if label == attack_class else None for label in labels]
     live = np.flatnonzero(labels != attack_class)
-    if live.size == 0:
-        return out
     x = xs[live]
+    lo, hi = schema.lower_bounds, schema.upper_bounds
+    half, center = (hi - lo) / 2.0, (lo + hi) / 2.0
+    w0 = np.arctanh(np.clip((x - center) / half, -1.0 + 1e-8, 1.0 - 1e-8))
     c_lo, c_hi = (np.full(len(live), float(c)) for c in c_range)
-    best_l2, best = np.full(len(live), math.inf), np.full(len(live), -1)
+    never = np.finfo(float).max   # the score of a point that does not attack
+    eye = np.eye(model.num_classes)
+
+    def evaluate(rows, w, cost_on):
+        # score: l2 where strictly attacking; step: l2 + c * hinge(margin)
+        th = np.tanh(w)
+        x_now = center + half * th
+        cache = forward_cache_batch(model, x_now)
+        # the strongest rival class: the first largest logit but the target's
+        j = np.argmax(np.where(np.arange(model.num_classes) == attack_class,
+                               -np.inf, cache.logits), axis=1)
+        n = np.arange(len(rows))
+        margin = cache.logits[n, j] - cache.logits[:, attack_class]
+        gap = x_now - x[rows]
+        l2 = np.sum(gap ** 2, axis=1)
+        push = c[rows, None] * logit_input_gradient_batch(
+            model, cache, eye[j] - eye[attack_class])
+        grad_x = np.where((margin > -kappa)[:, None], 2.0 * gap + push,
+                          2.0 * gap)
+        return ((np.where(margin < 0.0, l2, never),),
+                grad_x * half * (1.0 - th * th))
+
+    best_l2, best = np.full(len(live), never), np.full(len(live), -1)
     trials = []
     for step in range(bisection_steps):
         c = np.sqrt(c_lo * c_hi)
-        l2, x_adv = _cw_attack(model, schema, x, attack_class, c, lr,
-                               max_iters, kappa)
+        # max_iters scored points: the start and max_iters - 1 steps
+        w, _, _, history = _descend(evaluate, lambda rows, s: s, w0, w0,
+                                    max_iters - 1, lr, 0)
+        l2 = history.min(axis=0)
+        flipped = l2 < never
+        # a step without a flip stays put
+        x_adv = np.where(flipped[:, None], center + half * np.tanh(w), x)
         trials.append(_price(model, schema, cm, target, div, x, x_adv, c,
                              max_iters)[0])
         better = l2 < best_l2
         best_l2[better], best[better] = l2[better], step
-        flipped = np.isfinite(l2)
         c_hi, c_lo = np.where(flipped, c, c_hi), np.where(flipped, c_lo, c)
     for r, i in enumerate(live):
         # every step failed without a flip, so the last one is the fallback
@@ -219,36 +254,3 @@ def cw_l2_batch(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
         out[i] = BaselineResult(candidate=steps[best[r]],
                                 flipped=bool(best[r] >= 0), trials=steps)
     return out
-
-
-def _cw_attack(model: DenseClassifier, schema: FeatureSchema, x: np.ndarray,
-               attack_class: int, c: np.ndarray, lr: float, max_iters: int,
-               kappa: float) -> tuple[np.ndarray, np.ndarray]:
-    """One bisection step for every row: the smallest l2 that flipped the
-    row (inf if none did) and that point, else the last iterate."""
-    lo, hi = schema.lower_bounds, schema.upper_bounds
-    half, center = (hi - lo) / 2.0, (lo + hi) / 2.0
-    w = np.arctanh(np.clip((x - center) / half, -1.0 + 1e-8, 1.0 - 1e-8))
-    m = v = np.zeros_like(w)
-    n = len(x)
-    best_l2, best_x = np.full(n, math.inf), np.zeros_like(x)
-    for t in range(1, max_iters + 1):
-        th = np.tanh(w)
-        x_now = center + half * th
-        cache = forward_cache_batch(model, x_now)
-        # the strongest rival class: the first largest logit but the target's
-        j = np.argmax(np.where(np.arange(model.num_classes) == attack_class,
-                               -np.inf, cache.logits), axis=1)
-        margin = cache.logits[np.arange(n), j] - cache.logits[:, attack_class]
-        l2 = np.sum((x_now - x) ** 2, axis=1)
-        better = (margin < 0.0) & (l2 < best_l2)   # strictly attacking
-        best_l2[better], best_x[better] = l2[better], x_now[better]
-        upstream = np.zeros_like(cache.logits)
-        upstream[np.arange(n), j] = 1.0
-        upstream[:, attack_class] = -1.0
-        push = c[:, None] * logit_input_gradient_batch(model, cache, upstream)
-        grad_x = 2.0 * (x_now - x)
-        grad_x = np.where((margin > -kappa)[:, None], grad_x + push, grad_x)
-        w, m, v = _adam_step(w, grad_x * half * (1.0 - th * th), m, v, t, lr)
-    return best_l2, np.where(np.isfinite(best_l2)[:, None], best_x,
-                             center + half * np.tanh(w))

@@ -14,13 +14,15 @@ delta (distance of M's output from the target region) are recomputed at
 that discrete point.
 
 Every search here (a frontier over lam, a budget walk, the repair attempts)
-runs as one batched descent over an (n, d) matrix, one row per run; each
-row keeps its own origin, box, lam, thresholds, start, moments, best
-iterate, patience counter and divergence flag, so rows never influence
-each other.  While the cost is muted, rows that differ only in lam share
-their steps, which are bit-identical to the steps each would take alone.
-A ``_batch`` twin runs many individuals in that one descent and returns,
-in order, each one's result or the exception it raised.
+and in ``baselines`` (the counterfactual lam schedule, each bisection step
+of the l2 attack) runs as one call of ``_descend``, a batched descent over
+an (n, d) matrix, one row per run; each row keeps its own origin, box, lam,
+thresholds, start, moments, best iterate, patience counter and divergence
+flag, so rows never influence each other.  While the cost is muted, rows
+that differ only in lam share their steps, which are bit-identical to the
+steps each would take alone.  A ``_batch`` twin runs many individuals in
+that one descent and returns, in order, each one's result or the exception
+it raised.
 
 Budgets are met by walking lam geometrically: down for a delta ceiling
 (spend more until close enough), up for an epsilon ceiling (spend less until
@@ -163,21 +165,6 @@ def trivial_candidate(model: DenseClassifier, schema: FeatureSchema,
     return _price(model, schema, cm, target, div, x, x, math.inf, 0)[0][0]
 
 
-def _adam_step(u: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-               t: int, lr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One normalized-ADAM step for every row of u; returns (u, m, v)."""
-    # Unit-normalize so adaptive steps survive the saturated regime, where
-    # the raw gradient can sit below the moment-epsilon floor.  The batched
-    # dot product rounds exactly as np.linalg.norm does on one row.
-    norm = np.sqrt(grad[:, None, :] @ grad[:, :, None])[:, 0]
-    grad = grad / np.where(norm > 0.0, norm, 1.0)
-    m = 0.9 * m + 0.1 * grad
-    v = 0.999 * v + 0.001 * grad * grad
-    m_hat = m / (1.0 - 0.9 ** t)
-    v_hat = v / (1.0 - 0.999 ** t)
-    return u - lr * m_hat / (np.sqrt(v_hat) + 1e-8), m, v
-
-
 def _descend(evaluate, objective, u: np.ndarray, keys: np.ndarray,
              steps: int, lr: float, warmup: int, tol: float = 0.0,
              patience: float = math.inf, bounds=None):
@@ -198,6 +185,8 @@ def _descend(evaluate, objective, u: np.ndarray, keys: np.ndarray,
     (-1: never, 0: at the start) and the (steps + 1, n) objective history.
     """
     n = u.shape[0]
+    # a huge lam can overflow the objective; the divergence flag reports it
+    objective = np.errstate(over="ignore")(objective)
     # reps[j]: the row whose point j is; at[i]: the point row i sits at
     reps = at = every = np.arange(n)
     if warmup > 0:
@@ -212,7 +201,7 @@ def _descend(evaluate, objective, u: np.ndarray, keys: np.ndarray,
     diverged = np.where(np.isfinite(value) & np.isfinite(grad).all(1)[at],
                         -1, 0)
     active = diverged < 0
-    best_value, best_u, prev = value.copy(), u[at], value.copy()
+    best_value, best_u = value.copy(), u[at]
     m, v = np.zeros_like(u), np.zeros_like(u)
     stall, iterations = np.zeros((2, n), dtype=int)
     for t in range(1, steps + 1):
@@ -225,8 +214,15 @@ def _descend(evaluate, objective, u: np.ndarray, keys: np.ndarray,
         # row rows[i] is at point pts[k[i]]; with the cost on, rows are points
         pts, k = ((rows, slice(None)) if at is every
                   else np.unique(at[rows], return_inverse=True))
-        u_pts, m[pts], v[pts] = _adam_step(u[pts], grad[pts], m[pts],
-                                           v[pts], t, lr)
+        # unit-normalized, so steps survive a saturated softmax; the batched
+        # dot product rounds exactly as np.linalg.norm does on one row
+        g = grad[pts]
+        norm = np.sqrt(g[:, None, :] @ g[:, :, None])[:, 0]
+        g = g / np.where(norm > 0.0, norm, 1.0)
+        m_pts = m[pts] = 0.9 * m[pts] + 0.1 * g
+        v_pts = v[pts] = 0.999 * v[pts] + 0.001 * g * g
+        u_pts = u[pts] - lr * (m_pts / (1.0 - 0.9 ** t)) / (
+            np.sqrt(v_pts / (1.0 - 0.999 ** t)) + 1e-8)
         if bounds is not None:
             u_pts = np.clip(u_pts, bounds[0][reps[pts]], bounds[1][reps[pts]])
         u[pts] = u_pts
@@ -241,9 +237,8 @@ def _descend(evaluate, objective, u: np.ndarray, keys: np.ndarray,
         best_value[rows[better]] = value[better]
         best_u[rows[better]] = u_pts[k][better]
         if t > warmup:
-            stall[rows] = np.where(np.abs(value - prev[rows]) < tol,
+            stall[rows] = np.where(np.abs(value - history[t - 1, rows]) < tol,
                                    stall[rows] + 1, 0)
-        prev[rows] = value
         active[rows] = ok & (stall[rows] < patience)
     return best_u, iterations, diverged, history
 

@@ -510,7 +510,7 @@ def per_row_cw(model, schema, cm, target: TargetSet, x: np.ndarray,
             w, m, v = _adam_row(w, grad_x * half * (1.0 - th * th), m, v, t,
                                 lr)
         if best_x is None:
-            return False, math.inf, center + half * np.tanh(w)
+            return False, math.inf, x.copy()
         return True, best_l2, best_x
 
     trials, best, fallback = [], None, None

@@ -181,6 +181,12 @@ class TestWachter:
         with pytest.raises(ValueError):
             wachter_counterfactual(model, schema, cm, target, pt, x,
                                    lambdas=(-0.1, 1.0))
+        # a NaN or negative rate used to return the stay-put point silently
+        for bad in (dict(lr=np.nan), dict(lr=-0.05), dict(lr=0.0),
+                    dict(lr=np.inf), dict(max_iters=0)):
+            with pytest.raises(ValueError):
+                wachter_counterfactual(model, schema, cm, target, pt, x,
+                                       **bad)
 
 
 class TestCwL2:
@@ -270,6 +276,32 @@ class TestCwL2:
                   c_range=(1.0, 0.5))
         with pytest.raises(ValueError):
             cw_l2(model, schema, cm, target, pt, attack_class=5)
+        # each of these used to run: a NaN point, an ascent, a NaN candidate
+        for bad in (dict(lr=np.nan), dict(lr=-0.05), dict(lr=0.0),
+                    dict(lr=np.inf), dict(max_iters=0),
+                    dict(c_range=(1e-3, np.inf)), dict(c_range=(np.nan, 1.0)),
+                    dict(kappa=-1.0), dict(kappa=np.nan),
+                    dict(kappa=np.inf)):
+            with pytest.raises(ValueError):
+                cw_l2(model, schema, cm, target, pt, attack_class=1, **bad)
+
+    def test_bisection_steps_run_through_the_kernel(self, blob, monkeypatch):
+        model, x, _, schema, cm, target = blob
+        log = spy_descents(monkeypatch, baselines)
+        cw_l2_batch(model, schema, cm, target, wrong_side_points(model, x, 3),
+                    attack_class=1, bisection_steps=3, max_iters=25)
+        assert [call["warmup"] for call in log] == [0, 0, 0]
+        assert all(same_bits(call["shared"], call["alone"]) for call in log)
+
+    def test_step_without_a_flip_stays_put(self, blob):
+        # a margin weight this small never flips: each step returns x itself
+        model, x, _, schema, cm, target = blob
+        pt = wrong_side_points(model, x, 1)[0]
+        out = cw_l2(model, schema, cm, target, pt, attack_class=1,
+                    c_range=(1e-9, 1e-8), bisection_steps=3, max_iters=50)
+        assert out.flipped is False
+        assert all(trial.is_noop for trial in out.trials)
+        assert out.candidate.epsilon == 0.0
 
     def test_boundary_flip_moves_nothing_real(self, bench_data, bench_model,
                                               bench_schema, bench_cost,
