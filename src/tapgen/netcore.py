@@ -58,7 +58,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 1:
+        if not 0.0 < self.learning_rate < math.inf:     # NaN fails too
+            raise ValueError("learning_rate must be finite and positive")
+        if self.patience < 0:
+            raise ValueError("patience must be nonnegative")
+        if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("invalid training hyperparameters")
         if len(self.split) != 3 or any(s < 0 for s in self.split):
             raise ValueError("split must be three non-negative fractions")
@@ -245,6 +249,16 @@ def _init_params(layer_dims, rng):
     return weights, biases
 
 
+def _unflatten(flat: np.ndarray, layer_dims) -> tuple[list, list]:
+    """(weights, biases) as C-contiguous views into one flat buffer that
+    holds every weight matrix, then every bias vector."""
+    pairs = list(zip(layer_dims[:-1], layer_dims[1:]))
+    ends = np.cumsum([o * i for i, o in pairs] + [o for _, o in pairs])
+    parts = np.split(flat, ends[:-1])
+    return ([p.reshape(o, i) for p, (i, o) in zip(parts, pairs)],
+            parts[len(pairs):])
+
+
 def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     picked = probs[np.arange(labels.size), labels]
     return float(-np.mean(np.log(np.maximum(picked, _PROB_FLOOR))))
@@ -273,6 +287,12 @@ def train_classifier(x: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
     Labels must be integers 0..k-1; every class must occur in the train split.
     Early stopping watches validation cross-entropy and the returned weights
     are the best validation snapshot, never a later, worse one.
+
+    Training keeps every parameter in one flat buffer, of which the weights
+    and biases are views.  Each minibatch writes its gradient into one flat
+    buffer and takes one ADAM step over the whole of it; a new best snapshot
+    is one copy.  The returned weights are views into the snapshot (into the
+    final buffer when there is no validation split).
     """
     x = np.asarray(x, dtype=float)
     labels = np.asarray(labels)
@@ -306,8 +326,12 @@ def train_classifier(x: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
 
     layer_dims = (x.shape[1], *hidden_dims, k)
     weights, biases = _init_params(layer_dims, substream(cfg.seed, "init"))
-    params = [*weights, *biases]        # updated in place
-    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    theta = np.concatenate([p.ravel() for p in (*weights, *biases)])
+    weights, biases = _unflatten(theta, layer_dims)   # updated in place
+    grad = np.empty_like(theta)
+    grad_w, grad_b = _unflatten(grad, layer_dims)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    denom, delta = np.empty_like(theta), np.empty_like(theta)
     step = 0
 
     batch_rng = substream(cfg.seed, "batches")
@@ -317,7 +341,7 @@ def train_classifier(x: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
     depth = len(weights)
 
     best_val = math.inf
-    best_snapshot = ([w.copy() for w in weights], [b.copy() for b in biases])
+    best = theta.copy()
     best_epoch = 0
     stall = 0
     val_history: list[float] = []
@@ -338,26 +362,31 @@ def train_classifier(x: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
             g[np.arange(yb.size), yb] -= 1.0
             g /= yb.size
 
-            grads = [None] * len(params)     # weight grads, then bias grads
             for layer in range(depth - 1, -1, -1):
-                grads[layer] = g.T @ acts[layer]
-                grads[depth + layer] = g.sum(axis=0)
+                np.matmul(g.T, acts[layer], out=grad_w[layer])
+                g.sum(axis=0, out=grad_b[layer])
                 if layer > 0:
                     g = g @ weights[layer]
                     if masks:
                         g = g * masks[layer - 1]
                     g = g * (pres[layer - 1] > 0.0)
 
+            # theta -= lr * (m / c1) / (sqrt(v / c2) + eps) after
+            # m = b1 m + (1 - b1) grad and v = b2 v + (1 - b2) grad**2, in
+            # scratch buffers; every element rounds as in a per-array update
             step += 1
-            correct1 = 1.0 - _ADAM_B1 ** step
-            correct2 = 1.0 - _ADAM_B2 ** step
-            for p, grad, (m, v) in zip(params, grads, moments):
-                m *= _ADAM_B1
-                m += (1 - _ADAM_B1) * grad
-                v *= _ADAM_B2
-                v += (1 - _ADAM_B2) * grad ** 2
-                p -= cfg.learning_rate * (m / correct1) / (
-                    np.sqrt(v / correct2) + _ADAM_EPS)
+            m *= _ADAM_B1
+            m += np.multiply(grad, 1 - _ADAM_B1, out=delta)
+            v *= _ADAM_B2
+            v += np.multiply(np.square(grad, out=delta), 1 - _ADAM_B2,
+                             out=delta)
+            np.divide(v, 1.0 - _ADAM_B2 ** step, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += _ADAM_EPS
+            np.divide(m, 1.0 - _ADAM_B1 ** step, out=delta)
+            delta *= cfg.learning_rate
+            delta /= denom
+            theta -= delta
 
         if idx_val.size:
             _, _, val_logits = _forward_batch(weights, biases, xs["val"])
@@ -365,8 +394,7 @@ def train_classifier(x: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
             val_history.append(val_loss)
             if val_loss < best_val:
                 best_val = val_loss
-                best_snapshot = ([w.copy() for w in weights],
-                                 [b.copy() for b in biases])
+                best[:] = theta
                 best_epoch = epoch
                 stall = 0
             else:
@@ -375,7 +403,7 @@ def train_classifier(x: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
                     break
 
     if idx_val.size:
-        weights, biases = best_snapshot
+        weights, biases = _unflatten(best, layer_dims)
     else:
         best_epoch = epochs_run
         best_val = float("nan")

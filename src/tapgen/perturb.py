@@ -99,8 +99,8 @@ class OptConfig:
     def __post_init__(self) -> None:
         if self.lam < 0.0 or not math.isfinite(self.lam):
             raise ValueError("lam must be finite and nonnegative")
-        if self.lr <= 0.0:
-            raise ValueError("learning rate must be positive")
+        if not 0.0 < self.lr < math.inf:     # NaN fails too
+            raise ValueError("lr must be finite and positive")
         if self.max_iters < 1 or self.patience < 1:
             raise ValueError("max_iters and patience must be positive")
         if self.tol < 0.0 or self.snap_tol < 0.0:

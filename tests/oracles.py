@@ -14,7 +14,9 @@ its penalties and its final rounding from the scalar box and group
 penalties, coherence test and ``row_cond`` below.  Every public single-row
 name is now a one-row view of a batched layer, so the ``row_*`` functions
 here are the deleted scalar bodies, kept as references: no batched layer
-is checked against a view of itself.
+is checked against a view of itself.  ``per_param_train_classifier`` is
+the training loop that one flat parameter buffer replaced: it keeps each
+weight and bias in its own array and takes one ADAM update per array.
 """
 from __future__ import annotations
 
@@ -32,7 +34,20 @@ from tapgen.actionability import (
     cost_grad,
 )
 from tapgen.baselines import BaselineResult
-from tapgen.netcore import ForwardCache
+from tapgen.netcore import (
+    _ADAM_B1,
+    _ADAM_B2,
+    _ADAM_EPS,
+    DenseClassifier,
+    ForwardCache,
+    TrainConfig,
+    _accuracy,
+    _cross_entropy,
+    _forward_batch,
+    _init_params,
+    _softmax,
+    _split_indices,
+)
 from tapgen.perturb import OptConfig, TapCandidate
 from tapgen.probspace import (
     DivergenceSpec,
@@ -41,6 +56,7 @@ from tapgen.probspace import (
     kl_divergence,
     target_distance_grad,
 )
+from tapgen.rng import substream
 
 _Z_FLOOR = 1e-9
 
@@ -566,3 +582,145 @@ def same_bits(shared, alone) -> bool:
     steps, history) agree bit for bit, NaN included."""
     return all(a.dtype == b.dtype and a.shape == b.shape
                and a.tobytes() == b.tobytes() for a, b in zip(shared, alone))
+
+
+def per_param_train_classifier(x: np.ndarray, labels: np.ndarray,
+                               cfg: TrainConfig, hidden_dims=(60, 60, 60),
+                               dropout_rate: float = 0.0,
+                               num_classes: int | None = None
+                               ) -> DenseClassifier:
+    """``netcore.train_classifier`` with one array, one gradient and one
+    ADAM update per weight matrix and bias vector.
+
+    Labels must be integers 0..k-1; every class must occur in the train split.
+    Early stopping watches validation cross-entropy and the returned weights
+    are the best validation snapshot, never a later, worse one.
+    """
+    x = np.asarray(x, dtype=float)
+    labels = np.asarray(labels)
+    if x.ndim != 2 or labels.shape != (x.shape[0],):
+        raise ValueError("expected (n, d) features with n labels")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError("labels must be integers")
+    k = int(num_classes) if num_classes is not None else int(labels.max()) + 1
+    if k < 2:
+        raise ValueError("need at least two classes")
+    if labels.min() < 0 or labels.max() >= k:
+        raise ValueError("labels out of range")
+    if not (0.0 <= dropout_rate < 1.0):
+        raise ValueError("dropout rate must lie in [0, 1)")
+
+    idx_train, idx_val, idx_test = _split_indices(
+        x.shape[0], cfg.split, substream(cfg.seed, "split")
+    )
+    present = np.unique(labels[idx_train])
+    if present.size != k:
+        missing = sorted(set(range(k)) - set(int(c) for c in present))
+        raise ValueError(f"classes {missing} are absent from the train split")
+
+    x_train, y_train = x[idx_train], labels[idx_train]
+    mean = x_train.mean(axis=0)
+    std = x_train.std(axis=0)
+    std = np.where(std <= 0.0, 1.0, std)
+
+    splits = {"train": idx_train, "val": idx_val, "test": idx_test}
+    xs = {name: (x[idx] - mean) / std for name, idx in splits.items()}
+
+    layer_dims = (x.shape[1], *hidden_dims, k)
+    weights, biases = _init_params(layer_dims, substream(cfg.seed, "init"))
+    params = [*weights, *biases]        # updated in place
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    step = 0
+
+    batch_rng = substream(cfg.seed, "batches")
+    drop_rng = substream(cfg.seed, "dropout")
+    n_train = x_train.shape[0]
+    keep = 1.0 - dropout_rate
+    depth = len(weights)
+
+    best_val = math.inf
+    best_snapshot = ([w.copy() for w in weights], [b.copy() for b in biases])
+    best_epoch = 0
+    stall = 0
+    val_history: list[float] = []
+    epochs_run = 0
+
+    for epoch in range(1, cfg.max_epochs + 1):
+        epochs_run = epoch
+        order = batch_rng.permutation(n_train)
+        for start in range(0, n_train, cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            yb = y_train[batch]
+            masks = [(drop_rng.random((yb.size, w.shape[0])) < keep) / keep
+                     for w in weights[:-1]] if dropout_rate > 0.0 else []
+            pres, acts, logits = _forward_batch(weights, biases,
+                                                xs["train"][batch], masks)
+
+            g = _softmax(logits)
+            g[np.arange(yb.size), yb] -= 1.0
+            g /= yb.size
+
+            grads = [None] * len(params)     # weight grads, then bias grads
+            for layer in range(depth - 1, -1, -1):
+                grads[layer] = g.T @ acts[layer]
+                grads[depth + layer] = g.sum(axis=0)
+                if layer > 0:
+                    g = g @ weights[layer]
+                    if masks:
+                        g = g * masks[layer - 1]
+                    g = g * (pres[layer - 1] > 0.0)
+
+            step += 1
+            correct1 = 1.0 - _ADAM_B1 ** step
+            correct2 = 1.0 - _ADAM_B2 ** step
+            for p, grad, (m, v) in zip(params, grads, moments):
+                m *= _ADAM_B1
+                m += (1 - _ADAM_B1) * grad
+                v *= _ADAM_B2
+                v += (1 - _ADAM_B2) * grad ** 2
+                p -= cfg.learning_rate * (m / correct1) / (
+                    np.sqrt(v / correct2) + _ADAM_EPS)
+
+        if idx_val.size:
+            _, _, val_logits = _forward_batch(weights, biases, xs["val"])
+            val_loss = _cross_entropy(_softmax(val_logits), labels[idx_val])
+            val_history.append(val_loss)
+            if val_loss < best_val:
+                best_val = val_loss
+                best_snapshot = ([w.copy() for w in weights],
+                                 [b.copy() for b in biases])
+                best_epoch = epoch
+                stall = 0
+            else:
+                stall += 1
+                if stall > cfg.patience:
+                    break
+
+    if idx_val.size:
+        weights, biases = best_snapshot
+    else:
+        best_epoch = epochs_run
+        best_val = float("nan")
+
+    metadata = {
+        "epochs_run": epochs_run,
+        "best_epoch": best_epoch,
+        "best_val_loss": best_val,
+        "val_loss_history": val_history,
+        "split_sizes": [int(idx.size) for idx in splits.values()],
+        "split_indices": {name: [int(i) for i in idx]
+                          for name, idx in splits.items()},
+    }
+    for name, idx in splits.items():
+        _, _, logits = _forward_batch(weights, biases, xs[name])
+        metadata[f"{name}_accuracy"] = _accuracy(_softmax(logits), labels[idx])
+    return DenseClassifier(
+        layer_dims=layer_dims,
+        weights=weights,
+        biases=biases,
+        mean=mean,
+        std=std,
+        dropout_rate=float(dropout_rate),
+        seed=cfg.seed,
+        metadata=metadata,
+    )

@@ -1,10 +1,17 @@
 """Dense classifier training, gradients, calibration error, persistence."""
 import json
+import math
 
 import numpy as np
 import pytest
 
-from oracles import central_diff_grad, row_forward
+from oracles import (
+    central_diff_grad,
+    per_param_train_classifier,
+    row_forward,
+    same_bits,
+)
+from tapgen import verify
 from tapgen.netcore import (
     DenseClassifier,
     TrainConfig,
@@ -23,6 +30,7 @@ from tapgen.netcore import (
 )
 from tapgen.probspace import ProbVector
 from tapgen.rng import substream
+from tapgen.verify import build_pair_dataset, train_verifier
 
 
 def blob_data(seed=0, n=2000, separation=6.0):
@@ -95,8 +103,62 @@ class TestTraining:
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(split=(0.5, 0.2, 0.2))
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
+        for rate in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="learning_rate"):
+                TrainConfig(learning_rate=rate)
+        with pytest.raises(ValueError, match="patience"):
+            TrainConfig(patience=-1)
+
+
+def _train_m(trainer, seed=2, split=(0.8, 0.1, 0.1), dropout_rate=0.0):
+    x, labels = blob_data(seed=5, n=120, separation=1.0)
+    cfg = TrainConfig(learning_rate=1e-2, max_epochs=40, patience=2,
+                      split=split, seed=seed)
+    return trainer(x, labels, cfg, hidden_dims=(8, 8),
+                   dropout_rate=dropout_rate)
+
+
+def _train_v(trainer, monkeypatch):
+    x, labels = blob_data(seed=6, n=40, separation=1.0)
+    pairs = build_pair_dataset(x, labels, max_pairs=600, seed=1)
+    monkeypatch.setattr(verify, "train_classifier", trainer)
+    cfg = TrainConfig(learning_rate=1e-2, max_epochs=30, patience=2, seed=3)
+    return train_verifier(pairs, cfg, hidden_dims=(8, 8))
+
+
+class TestFlatBufferTraining:
+    """The flat-buffer loop against the per-parameter loop it replaced."""
+
+    @pytest.mark.parametrize("case", ["m", "m-dropout", "v", "no-val"])
+    def test_bit_identical_to_per_parameter_oracle(self, case, monkeypatch):
+        def train(trainer):
+            if case == "v":
+                return _train_v(trainer, monkeypatch)
+            return _train_m(trainer, **{
+                "m": {}, "m-dropout": {"dropout_rate": 0.2},
+                "no-val": {"split": (1.0, 0.0, 0.0)}}[case])
+
+        flat = train(train_classifier)
+        oracle = train(per_param_train_classifier)
+        assert same_bits([*flat.weights, *flat.biases, flat.mean, flat.std,
+                          np.array(flat.temperature)],
+                         [*oracle.weights, *oracle.biases, oracle.mean,
+                          oracle.std, np.array(oracle.temperature)])
+        assert repr(flat.metadata) == repr(oracle.metadata)
+        assert all(w.flags.c_contiguous for w in flat.weights)
+        # with a validation split, early stopping ran past the best epoch,
+        # so the returned weights are the snapshot, not the last step
+        meta = flat.metadata
+        assert (meta["best_epoch"] < meta["epochs_run"]) == (case != "no-val")
+
+    def test_models_do_not_share_buffers(self):
+        first = _train_m(train_classifier)
+        kept = [w.copy() for w in first.weights]
+        second = _train_m(train_classifier, seed=4)
+        for a in [*first.weights, *first.biases]:
+            for b in [*second.weights, *second.biases]:
+                assert not np.shares_memory(a, b)
+        assert same_bits(first.weights, kept)
 
 
 class TestPredictions:

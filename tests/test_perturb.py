@@ -37,7 +37,8 @@ class TestOptConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(lam=-1.0), dict(lam=math.inf), dict(lr=0.0),
         dict(max_iters=0), dict(patience=0), dict(tol=-1e-9),
-        dict(snap_tol=-1.0), dict(seed=-1),
+        dict(snap_tol=-1.0), dict(seed=-1), dict(lr=math.nan),
+        dict(lr=math.inf),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
