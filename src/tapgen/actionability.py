@@ -37,6 +37,7 @@ __all__ = [
     "cost",
     "cost_grad",
     "cost_batch",
+    "resolve_cost",
     "penalty_actionable",
     "penalty_coherence",
     "penalties_batch",
@@ -145,9 +146,23 @@ class FeatureSchema:
         return _frozen([f.kind in ("boolean", "onehot") for f in self.features], bool)
 
     @cached_property
-    def onehot_index(self) -> tuple[np.ndarray, ...]:
-        """Member indices of each one-hot group, in onehot_groups order."""
-        return tuple(_frozen(idx, np.intp) for idx in self.onehot_groups.values())
+    def _onehot_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The one-hot groups as one (groups, widest) index array, a short
+        group repeating its last member, and the flat position of each
+        group's last member in it."""
+        groups = list(self.onehot_groups.values())
+        width = max(map(len, groups), default=0)
+        blocks = [np.r_[idx, np.full(width - len(idx), idx[-1])] for idx in groups]
+        return (_frozen(np.reshape(blocks, (len(groups), width)), np.intp),
+                _frozen([g * width + len(idx) - 1
+                         for g, idx in enumerate(groups)], np.intp))
+
+    def onehot_mass(self, x: np.ndarray) -> np.ndarray:
+        """Each one-hot group's mass in every row of an (n, d) matrix, as
+        an (n, groups) matrix: members add in column order."""
+        blocks, ends = self._onehot_blocks
+        return x.take(blocks, axis=1).cumsum(axis=2).reshape(
+            len(x), blocks.size).take(ends, axis=1)
 
     def index(self, name: str) -> int:
         try:
@@ -182,9 +197,7 @@ class FeatureSchema:
         with np.errstate(invalid="ignore"):        # inf - inf is NaN
             ok = np.where(self.binary_mask, near(x, 0.0) | near(x, 1.0),
                           near(x, np.rint(x)) | ~self.rounded_mask).all(axis=1)
-        for idx in self.onehot_index:
-            ok &= near(np.cumsum(x[:, idx], axis=1)[:, -1], 1.0)
-        return ok
+        return ok & near(self.onehot_mass(x), 1.0).all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -286,10 +299,21 @@ def cost_grad(x: np.ndarray, x_tilde: np.ndarray, cm: CostModel,
 def cost_batch(x: np.ndarray, x_tilde: np.ndarray, cm: CostModel,
                schema: FeatureSchema) -> tuple[np.ndarray, np.ndarray]:
     """The price of every row of an (n, d) x_tilde in raw units, and its
-    gradient with respect to that row; the terms are gathered once per
-    call into dense per-feature weights.
-    The origin x is an (n, d) matrix of per-row origins, or one (d,) vector
-    broadcast to every row; each row is priced alone."""
+    gradient with respect to that row; the one-call view of
+    :func:`resolve_cost`.  The origin x is an (n, d) matrix of per-row
+    origins, or one (d,) vector broadcast to every row; each row is priced
+    alone."""
+    x_tilde = np.asarray(x_tilde, dtype=float)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    rows = np.zeros(len(x_tilde), np.intp) if len(x) == 1 else slice(None)
+    return resolve_cost(x, cm, schema)(rows, x_tilde)
+
+
+def resolve_cost(x: np.ndarray, cm: CostModel, schema: FeatureSchema):
+    """cm resolved once against schema and the (m, d) origins x: dense
+    weights, transition members and each origin's pulls.  Returns
+    ``price(rows, x_tilde)``: :func:`cost_batch` of the origins x[rows] (an
+    index array or a slice) and the (n, d) x_tilde."""
     d = len(schema.features)
     quad, lin, trig = np.zeros(d), np.zeros(d), np.zeros(d)
     for dense, terms, attr in ((quad, cm.quadratic, "weight"),
@@ -297,22 +321,33 @@ def cost_batch(x: np.ndarray, x_tilde: np.ndarray, cm: CostModel,
                                (trig, cm.triggers, "cost_on")):
         for term in terms:
             dense[schema.index(term.feature)] += getattr(term, attr)
-    x_tilde = np.asarray(x_tilde, dtype=float)
-    x = np.broadcast_to(np.asarray(x, dtype=float), x_tilde.shape)
-    step = x_tilde - x
-    value = np.sum(quad * step ** 2 + lin * step
-                   + trig * np.maximum(step, 0.0), axis=1)
-    grad = 2.0 * quad * step + lin + trig * (step > 0.0)
-    n = len(x_tilde)
-    if n == 1:   # numpy multiplies a column gather of one row with BLAS, but
-        # of more rows in column order; so a lone row is priced as two
-        x, x_tilde = np.repeat(x, 2, axis=0), np.repeat(x_tilde, 2, axis=0)
-    for term in cm.transitions:
-        idx = _resolve_group(schema, term)
-        pull = (x[:, None, idx] @ term.matrix)[:, 0]
-        value = value + (x_tilde[:, None, idx] @ pull[:, :, None])[:n, 0, 0]
-        grad[:, idx] += pull[:n]
-    return value, grad
+    # numpy multiplies a column gather of one row with BLAS, but of more
+    # rows in column order; so a lone row is priced as two
+    two = lambda a: a if len(a) > 1 else np.repeat(a, 2, axis=0)
+    groups = [_resolve_group(schema, term) for term in cm.transitions]
+    # every origin's pulls, group after group, and each group's columns
+    pulls = np.hstack([np.zeros((len(x), 0))] + [
+        (two(x)[:, None, idx] @ term.matrix)[:len(x), 0]
+        for idx, term in zip(groups, cm.transitions)])
+    ends = np.cumsum([0] + [len(idx) for idx in groups])
+    blocks = [(idx, slice(a, b)) for idx, a, b in zip(groups, ends, ends[1:])]
+    members = np.concatenate([np.zeros(0, np.intp), *groups])
+    quad2 = 2.0 * quad   # 2.0 * quad * step rounds as (2.0 * quad) * step
+
+    def price(rows, x_tilde):
+        step = x_tilde - x[rows]
+        value = (quad * step ** 2 + lin * step
+                 + trig * np.maximum(step, 0.0)).sum(axis=1)
+        grad = quad2 * step + lin + trig * (step > 0.0)
+        n, pull = len(x_tilde), pulls[rows]
+        pair, pull2 = two(x_tilde), two(pull)
+        for idx, cols in blocks:
+            value = value + (pair[:, None, idx] @ pull2[:, cols, None])[:n, 0, 0]
+        # a group priced twice gets both pulls, in term order
+        np.add.at(grad, (slice(None), members), pull)
+        return value, grad
+
+    return price
 
 
 def penalties_batch(x_tilde: np.ndarray, schema: FeatureSchema,
@@ -323,15 +358,16 @@ def penalties_batch(x_tilde: np.ndarray, schema: FeatureSchema,
     one-hot group's mass from 1.  The box bounds are (d,) vectors or (n, d)
     matrices, one box per row."""
     lo, hi = box
-    value = pc.actionable_weight * np.sum(
-        np.maximum(0.0, x_tilde - hi) + np.maximum(0.0, lo - x_tilde), axis=1)
+    value = pc.actionable_weight * (np.maximum(0.0, x_tilde - hi)
+                                    + np.maximum(0.0, lo - x_tilde)).sum(axis=1)
     grad = pc.actionable_weight * (
         (x_tilde > hi).astype(float) - (x_tilde < lo).astype(float))
-    for idx in schema.onehot_index:
-        # in column order, as numpy sums a gather of two rows or more
-        drift = 1.0 - np.cumsum(x_tilde[:, idx], axis=1)[:, -1]
-        value = value + pc.coherence_weight * drift * drift
-        grad[:, idx] += (-2.0 * pc.coherence_weight * drift)[:, None]
+    drift = 1.0 - schema.onehot_mass(x_tilde)
+    for term in (pc.coherence_weight * drift * drift).T:   # group by group
+        value = value + term
+    # a member repeated to pad its group is written twice, with one value
+    grad[:, schema._onehot_blocks[0]] += (
+        -2.0 * pc.coherence_weight * drift)[:, :, None]
     return value, grad
 
 
@@ -385,7 +421,7 @@ def cond_batch(x_tilde: np.ndarray, schema: FeatureSchema,
     out = np.where(lo > out, lo, out)
     out = np.where(hi < out, hi, out)
     rows = np.arange(len(out))
-    for idx in schema.onehot_index:
+    for idx in map(list, schema.onehot_groups.values()):
         forced, eligible = lo[:, idx] >= 1.0, hi[:, idx] >= 1.0
         values = x_tilde[:, idx]
         pick = np.argmax(np.where(eligible, values, -np.inf), axis=1)

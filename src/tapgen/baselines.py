@@ -125,7 +125,7 @@ def wachter_counterfactual_batch(model: DenseClassifier,
         upstream = np.zeros_like(cache.probs)
         upstream[:, desired_class] = 2.0 * (p_w - 1.0)
         l1 = np.sum(np.abs(x_now - x[rows]) / scale, axis=1)
-        lam_eff = lams[rows] if cost_on else np.zeros(len(rows))
+        lam_eff = lams[rows] if cost_on else np.zeros(len(u))
         grad = (input_gradient_batch(model, cache, upstream)
                 + lam_eff[:, None] * np.sign(x_now - x[rows]) / scale)
         return ((p_w - 1.0) ** 2, l1), grad * std
@@ -221,7 +221,7 @@ def cw_l2_batch(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
         # the strongest rival class: the first largest logit but the target's
         j = np.argmax(np.where(np.arange(model.num_classes) == attack_class,
                                -np.inf, cache.logits), axis=1)
-        n = np.arange(len(rows))
+        n = np.arange(len(w))
         margin = cache.logits[n, j] - cache.logits[:, attack_class]
         gap = x_now - x[rows]
         l2 = np.sum(gap ** 2, axis=1)

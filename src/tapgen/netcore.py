@@ -64,7 +64,7 @@ class TrainConfig:
             raise ValueError("patience must be nonnegative")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("invalid training hyperparameters")
-        if len(self.split) != 3 or any(s < 0 for s in self.split):
+        if len(self.split) != 3 or not all(s >= 0 for s in self.split):
             raise ValueError("split must be three non-negative fractions")
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise ValueError("split fractions must sum to 1")

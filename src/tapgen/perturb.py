@@ -46,6 +46,7 @@ from .actionability import (
     cond_batch,
     cost_batch,
     penalties_batch,
+    resolve_cost,
 )
 # unused forward_cache stays: perfbench/selftest.py traces it in this module
 from .netcore import (  # noqa: F401
@@ -103,8 +104,9 @@ class OptConfig:
             raise ValueError("lr must be finite and positive")
         if self.max_iters < 1 or self.patience < 1:
             raise ValueError("max_iters and patience must be positive")
-        if self.tol < 0.0 or self.snap_tol < 0.0:
-            raise ValueError("tolerances must be nonnegative")
+        for name in ("tol", "snap_tol"):
+            if not getattr(self, name) >= 0.0:     # NaN fails too
+                raise ValueError(f"{name} must be nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -172,8 +174,9 @@ def _descend(evaluate, objective, u: np.ndarray, keys: np.ndarray,
 
     ``evaluate(reps, u_reps, cost_on)`` gives the lam-free parts of the
     objective (a tuple of arrays) and the step gradient at points u_reps,
-    point j being row reps[j]'s; ``cost_on`` is False for the first
-    ``warmup`` evaluations.  ``objective(rows, *parts)`` is the tracked
+    point j being row reps[j]'s (reps is an index array, or a slice while
+    every row is active); ``cost_on`` is False for the first ``warmup``
+    evaluations.  ``objective(rows, *parts)`` is the tracked
     objective of rows, each with its own lam.  ``keys`` holds, per row,
     all but lam that a step reads: while the cost is muted, the first row
     of each bit-identical key steps for all of them, and every row keeps
@@ -208,12 +211,17 @@ def _descend(evaluate, objective, u: np.ndarray, keys: np.ndarray,
         if t == warmup:   # the cost switches on: every row steps alone
             u, grad, m, v = u[at], grad[at], m[at], v[at]
             reps = at = every
-        rows = np.flatnonzero(active)
-        if rows.size == 0:
+        live = np.count_nonzero(active)
+        if live == 0:
             break
-        # row rows[i] is at point pts[k[i]]; with the cost on, rows are points
-        pts, k = ((rows, slice(None)) if at is every
-                  else np.unique(at[rows], return_inverse=True))
+        # row rows[i] is at point pts[k[i]] and point j stands for row
+        # who[j]; while every row is active, basic slices select every point
+        # in place, and with the cost on every row is its own point
+        rows = slice(None) if live == n else np.flatnonzero(active)
+        pts, k = ((rows, slice(None)) if at is every else (
+            (rows, at) if live == n
+            else np.unique(at[rows], return_inverse=True)))
+        who = rows if at is every else reps[pts]
         # unit-normalized, so steps survive a saturated softmax; the batched
         # dot product rounds exactly as np.linalg.norm does on one row
         g = grad[pts]
@@ -224,22 +232,23 @@ def _descend(evaluate, objective, u: np.ndarray, keys: np.ndarray,
         u_pts = u[pts] - lr * (m_pts / (1.0 - 0.9 ** t)) / (
             np.sqrt(v_pts / (1.0 - 0.999 ** t)) + 1e-8)
         if bounds is not None:
-            u_pts = np.clip(u_pts, bounds[0][reps[pts]], bounds[1][reps[pts]])
+            u_pts = np.clip(u_pts, bounds[0][who], bounds[1][who])
         u[pts] = u_pts
-        parts, step = evaluate(reps[pts], u_pts, t + 1 > warmup)
+        parts, step = evaluate(who, u_pts, t + 1 > warmup)
         grad[pts] = step
         value = objective(rows, *(part[k] for part in parts))
         history[t, rows] = value
         iterations[rows] = t
         ok = np.isfinite(value) & np.isfinite(step).all(1)[k]
-        diverged[rows[~ok]] = t
+        diverged[rows] = np.where(ok, -1, t)
         better = ok & (value < best_value[rows])
-        best_value[rows[better]] = value[better]
-        best_u[rows[better]] = u_pts[k][better]
-        if t > warmup:
+        best_value[rows] = np.where(better, value, best_value[rows])
+        best_u[rows] = np.where(better[:, None], u_pts[k], best_u[rows])
+        if t > warmup and patience < math.inf:
             stall[rows] = np.where(np.abs(value - history[t - 1, rows]) < tol,
                                    stall[rows] + 1, 0)
-        active[rows] = ok & (stall[rows] < patience)
+            ok &= stall[rows] < patience
+        active[rows] = ok
     return best_u, iterations, diverged, history
 
 
@@ -322,9 +331,11 @@ def _search(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
     x = np.repeat(xs, lams.size // len(xs), axis=0)
     lo, hi = schema.box_for(x)
     mean, std = model.mean, model.std
-    frozen = ~schema.mutable_mask
+    frozen = np.flatnonzero(~schema.mutable_mask)
     u_origin = (x - mean) / std
     starts = x if starts is None else starts
+
+    price_rows = resolve_cost(x, cm, schema)
 
     def evaluate(rows, u_now, cost_on):
         """Lam-free objective parts for tracking, muted-lam step gradient."""
@@ -332,10 +343,10 @@ def _search(model: DenseClassifier, schema: FeatureSchema, cm: CostModel,
         cache = forward_cache_batch(model, x_now)
         dist, up = target_distance_batch(cache.probs, target, div,
                                          p[rows], q[rows])
-        price, price_grad = cost_batch(x[rows], x_now, cm, schema)
+        price, price_grad = price_rows(rows, x_now)
         pen, pen_grad = penalties_batch(x_now, schema, penalty,
                                         (lo[rows], hi[rows]))
-        lam_eff = lams[rows] if cost_on else np.zeros(len(rows))
+        lam_eff = lams[rows] if cost_on else np.zeros(len(x_now))
         step = (input_gradient_batch(model, cache, up)
                 + lam_eff[:, None] * price_grad + pen_grad) * std
         step[:, frozen] = 0.0

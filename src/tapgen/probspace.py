@@ -235,6 +235,11 @@ def get_divergence(name: str) -> DivergenceSpec:
         raise ValueError(f"unknown divergence {name!r}; choose 'kl' or 'chi2'") from None
 
 
+def _inside(s_w: np.ndarray, s_u: np.ndarray, p, q) -> np.ndarray:
+    """Region A's mask: the rows that meet both constraints."""
+    return (s_w >= p) & (s_u <= q)
+
+
 def _regions(s_w: np.ndarray, s_u: np.ndarray, p, q) -> tuple[np.ndarray, ...]:
     """Masks of the closed form's regions A, B, C and D, one entry per row.
 
@@ -244,16 +249,18 @@ def _regions(s_w: np.ndarray, s_u: np.ndarray, p, q) -> tuple[np.ndarray, ...]:
     with np.errstate(divide="ignore", invalid="ignore"):
         bound_b = np.where(1.0 - p <= 0.0, np.inf, (1.0 - s_w) * q / (1.0 - p))
         bound_c = np.where(1.0 - q <= 0.0, np.inf, (1.0 - s_u) * p / (1.0 - q))
-    a = (s_w >= p) & (s_u <= q)
-    b = ~a & (s_w < p) & (s_u <= bound_b)
-    c = ~a & ~b & (s_u > q) & (s_w >= bound_c)
+    # a row below the floor is outside A, and a row above the ceiling is
+    # outside A and B, so those masks need no further test
+    a = _inside(s_w, s_u, p, q)
+    b = (s_w < p) & (s_u <= bound_b)
+    c = ~b & (s_u > q) & (s_w >= bound_c)
     return a, b, c, ~(a | b | c)
 
 
 def _masses(y: np.ndarray, t: TargetSet) -> tuple[np.ndarray, ...]:
     """(S_W, S_U) of every row, added in class order, as numpy adds a column
     gather of two rows or more (a lone row it adds pairwise)."""
-    return tuple(np.cumsum(y[:, list(c)], axis=1)[:, -1] if c else
+    return tuple(y.take(c, axis=1).cumsum(axis=1)[:, -1] if c else
                  np.zeros(len(y)) for c in (t.desirable, t.undesirable))
 
 
@@ -299,14 +306,19 @@ def target_distance_batch(y: np.ndarray, t: TargetSet, div: DivergenceSpec,
     n = y.shape[0]
     p = np.full(n, t.p) if p is None else np.asarray(p, dtype=float)
     q = np.full(n, t.q) if q is None else np.asarray(q, dtype=float)
-    w, u = list(t.desirable), list(t.undesirable)
     s_w, s_u = _masses(y, t)
+    dist, grad = np.zeros(n), np.zeros_like(y)
+    if np.count_nonzero(_inside(s_w, s_u, p, q)) == n:
+        return dist, grad
     _, b, c, d = _regions(s_w, s_u, p, q)
+    n_bc, n_d = np.count_nonzero(b | c), np.count_nonzero(d)
 
     def term(budget, mass):
         """budget * f(mass / budget), with the budget -> 0 limit."""
-        out = np.where(mass <= 0.0, 0.0, np.inf)
         pos = budget > 0.0
+        if np.count_nonzero(pos) == len(pos):
+            return budget * div.f(mass / budget)
+        out = np.where(mass <= 0.0, 0.0, np.inf)
         out[pos] = budget[pos] * div.f(mass[pos] / budget[pos])
         return out
 
@@ -315,23 +327,27 @@ def target_distance_batch(y: np.ndarray, t: TargetSet, div: DivergenceSpec,
 
     # the gradient floors the masses so saturated outputs stay finite
     fs_w, fs_u = np.maximum(s_w, MASS_FLOOR), np.maximum(s_u, MASS_FLOOR)
-    dist, g_w, g_u = np.zeros(n), np.zeros(n), np.zeros(n)
-    if b.any():
-        dist[b] = term(p[b], s_w[b]) + term(1.0 - p[b], 1.0 - s_w[b])
-        g_w[b] = slope(fs_w[b], p[b]) - slope(1.0 - fs_w[b], 1.0 - p[b])
-    if c.any():
-        dist[c] = term(q[c], s_u[c]) + term(1.0 - q[c], 1.0 - s_u[c])
-        g_u[c] = slope(fs_u[c], q[c]) - slope(1.0 - fs_u[c], 1.0 - q[c])
-    if d.any():
-        rest = 1.0 - p[d] - q[d]
-        dist[d] = (term(p[d], s_w[d]) + term(q[d], s_u[d])
-                   + term(rest, 1.0 - s_w[d] - s_u[d]))
-        neutral = slope(np.maximum(1.0 - fs_w[d] - fs_u[d], MASS_FLOOR), rest)
-        g_w[d] = slope(fs_w[d], p[d]) - neutral
-        g_u[d] = slope(fs_u[d], q[d]) - neutral
-    grad = np.zeros_like(y)
-    grad[:, w] = g_w[:, None]
-    grad[:, u] = g_u[:, None]
+    g_w, g_u = np.zeros(n), np.zeros(n)
+    # each region's rows are gathered once, and a region holding every row
+    # is computed on the whole arrays; B and C share the two-term form, B
+    # on the desirable budget and mass, C on the undesirable ones
+    if n_bc:
+        r = slice(None) if n_bc == n else b | c
+        on_w = b[r]
+        budget, mass, floored = (np.where(on_w, one[r], other[r]) for one, other
+                                 in ((p, q), (s_w, s_u), (fs_w, fs_u)))
+        dist[r] = term(budget, mass) + term(1.0 - budget, 1.0 - mass)
+        g = slope(floored, budget) - slope(1.0 - floored, 1.0 - budget)
+        g_w[r], g_u[r] = np.where(on_w, g, 0.0), np.where(on_w, 0.0, g)
+    if n_d:
+        r = slice(None) if n_d == n else d
+        p, q, s_w, s_u, fs_w, fs_u = (a[r] for a in (p, q, s_w, s_u, fs_w, fs_u))
+        rest = 1.0 - p - q
+        dist[r] = (term(p, s_w) + term(q, s_u) + term(rest, 1.0 - s_w - s_u))
+        neutral = slope(np.maximum(1.0 - fs_w - fs_u, MASS_FLOOR), rest)
+        g_w[r], g_u[r] = slope(fs_w, p) - neutral, slope(fs_u, q) - neutral
+    grad[:, np.array(t.desirable, np.intp)] = g_w[:, None]
+    grad[:, np.array(t.undesirable, np.intp)] = g_u[:, None]
     return dist, grad
 
 

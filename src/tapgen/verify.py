@@ -206,7 +206,12 @@ def _discrepancy_batch(model, verifier, x_a, x_b) -> np.ndarray:
     value is the same in any batch, a batch of one included."""
     n = len(x_a)
     probs = predict_proba_batch(model, np.vstack([x_a, x_b]))
-    agreement = (probs[:n, None, :] @ probs[n:, :, None])[:, 0, 0]
+    return _discrepancy(verifier, x_a, x_b, probs[:n], probs[n:])
+
+
+def _discrepancy(verifier, x_a, x_b, m_a, m_b) -> np.ndarray:
+    """|V(x_a, x_b) - M(x_a) . M(x_b)| per pair, from M's outputs m_a, m_b."""
+    agreement = (m_a[:, None, :] @ m_b[:, :, None])[:, 0, 0]
     return np.abs(same_class_prob_batch(verifier, x_a, x_b) - agreement)
 
 
@@ -263,7 +268,9 @@ def calibrate_gamma(model: DenseClassifier, verifier: DenseClassifier,
         codes = _sample_codes(rng, n, available,
                               lambda a, b: labels[a] != labels[b])
         i, j = codes // n, codes % n
-    deltas = _discrepancy_batch(model, verifier, x[i], x[j])
+    # M runs once per calibration row, not once per pair row
+    probs = predict_proba_batch(model, x)
+    deltas = _discrepancy(verifier, x[i], x[j], probs[i], probs[j])
     return GammaCalibration(
         gamma=gamma_from_deltas(deltas, rate),
         rate=float(rate),

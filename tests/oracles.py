@@ -562,7 +562,8 @@ def spy_descents(monkeypatch, module) -> list[dict]:
         calls = []
 
         def counted(rows, u_rows, cost_on):
-            calls.append((len(rows), cost_on))
+            # rows may be a slice: the points evaluated are the rows of u_rows
+            calls.append((len(u_rows), cost_on))
             return evaluate(rows, u_rows, cost_on)
 
         shared = real(counted, objective, u, keys, steps, lr, warmup, *args,

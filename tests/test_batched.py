@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     _priced,
+    same_bits,
     per_row_candidate,
     per_row_cw,
     random_target_set,
@@ -49,7 +50,9 @@ from tapgen.actionability import (
     penalties_batch,
     penalty_actionable,
     penalty_coherence,
+    resolve_cost,
 )
+from tapgen import perturb
 from tapgen.baselines import (
     cw_l2,
     cw_l2_batch,
@@ -59,8 +62,11 @@ from tapgen.baselines import (
 from tapgen.bench import METHODS, benchmark_problem
 from tapgen.netcore import (
     DenseClassifier,
+    TrainConfig,
     forward_cache_batch,
     input_gradient_batch,
+    predict_proba_batch,
+    train_classifier,
 )
 from tapgen.perturb import (
     OptConfig,
@@ -68,6 +74,7 @@ from tapgen.perturb import (
     _price,
     frontier_sweep,
     frontier_sweep_batch,
+    generate_candidate,
     repair_on_rejection,
     repair_on_rejection_batch,
 )
@@ -743,3 +750,73 @@ class TestOnePricingPath:
             for rows in batches(len(cands)):
                 assert verify_pairs(*problem, x[rows], x_tilde[rows]) == [
                     want[i] for i in rows]
+
+
+# ---------------------------------------------------------------------------
+# the mixed-schema descent: transitions, one-hot penalties, an immutable
+
+
+def test_resolved_pricer_equals_cost_batch():
+    # the pulls resolved once over every origin price any subset of rows,
+    # a lone row and a broadcast origin as a fresh call does
+    schema, cm, x, x_tilde = adult_rows(7, 6, per_row=True)
+    x = x + np.random.default_rng(7).normal(0.0, 0.3, x.shape)   # relaxed
+    price = resolve_cost(x, cm, schema)
+    for rows in (slice(None), slice(2, 3), np.array([4, 0, 3]),
+                 np.array([1]), np.array([5, 5])):
+        got = price(rows, x_tilde[rows])
+        want = cost_batch(x[rows], x_tilde[rows], cm, schema)
+        assert same_bits(got, want)
+    lone = resolve_cost(x[2][None, :], cm, schema)
+    for n in (1, 4):
+        want = cost_batch(x[2], x_tilde[:n], cm, schema)
+        assert same_bits(lone(np.zeros(n, np.intp), x_tilde[:n]), want)
+        assert same_bits(cost_batch(np.repeat(x[2:3], n, axis=0),
+                                    x_tilde[:n], cm, schema), want)
+
+
+@pytest.fixture(scope="module")
+def adult_model():
+    """A small net on coherent adult_income rows, labelled by a rule that
+    reads hours, education and age."""
+    schema, cm = adult_income_preset()
+    rng = np.random.default_rng(11)
+    x = np.array([adult_origin(schema, rng) for _ in range(400)])
+    edu = list(schema.onehot_groups["education"])
+    score = (0.05 * (x[:, 1] - 40) + x[:, edu] @ np.linspace(-1, 2, len(edu))
+             + 0.02 * (x[:, 0] - 45))
+    model = train_classifier(x, (score > 0.5).astype(int),
+                             TrainConfig(learning_rate=1e-2, max_epochs=8,
+                                         seed=3), hidden_dims=(12, 12))
+    return model, schema, cm, x
+
+
+def test_mixed_frontier_rows_equal_lone_searches(adult_model, monkeypatch):
+    # every row of one shared descent is the search its lam runs alone:
+    # the candidate, and the best point and objective of every step
+    model, schema, cm, x = adult_model
+    target = TargetSet(2, (1,), (0,), 0.7, 0.3)
+    outside = [row for row, probs in zip(x, predict_proba_batch(model, x))
+               if probs[1] < 0.7][:5]
+    lams = [0.0, 1e-3, 1e-2, 0.1, 1.0]
+    assert len(outside) == 5
+    runs, descend = [], perturb._descend
+    monkeypatch.setattr(perturb, "_descend", lambda *args, **kwargs: (
+        runs.append(descend(*args, **kwargs)) or runs[-1]))
+
+    def row(run, k):
+        best, iterations, diverged, history = run
+        return [best[k], iterations[k:k + 1], diverged[k:k + 1], history[:, k]]
+
+    for origin in outside:
+        sweep = frontier_sweep(model, schema, cm, target, origin, lams,
+                               OptConfig(max_iters=60), include_noop=False)
+        assert not sweep.failures
+        by_lam, shared = {c.lam: c for c in sweep.candidates}, runs[-1]
+        for k, lam in enumerate(lams):
+            alone = generate_candidate(model, schema, cm, target, origin,
+                                       OptConfig(lam=lam, max_iters=60))
+            assert same_bits(row(shared, k), row(runs[-1], 0))
+            assert same_bits(*([c.x_tilde, np.array(
+                [c.epsilon, c.delta, c.objective, c.iterations])]
+                for c in (by_lam[lam], alone)))

@@ -108,6 +108,8 @@ class TestTraining:
                 TrainConfig(learning_rate=rate)
         with pytest.raises(ValueError, match="patience"):
             TrainConfig(patience=-1)
+        with pytest.raises(ValueError, match="split"):
+            TrainConfig(split=(math.nan, 0.5, 0.5))
 
 
 def _train_m(trainer, seed=2, split=(0.8, 0.1, 0.1), dropout_rate=0.0):

@@ -38,10 +38,11 @@ class TestOptConfig:
         dict(lam=-1.0), dict(lam=math.inf), dict(lr=0.0),
         dict(max_iters=0), dict(patience=0), dict(tol=-1e-9),
         dict(snap_tol=-1.0), dict(seed=-1), dict(lr=math.nan),
-        dict(lr=math.inf),
+        dict(lr=math.inf), dict(tol=math.nan), dict(snap_tol=math.nan),
     ])
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        # the message names the setting
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             OptConfig(**kwargs)
 
 

@@ -8,6 +8,7 @@ import pytest
 import tapgen.verify as tv
 from oracles import row_forward
 from tapgen.netcore import DenseClassifier, TrainConfig
+from tapgen.rng import substream
 from tapgen.synthetic import gap_experiment_spec, sample_synthetic
 from tapgen.verify import (
     GammaCalibration,
@@ -351,6 +352,33 @@ class TestOneDiscrepancyFormula:
         assert cal.sample_size == values.size >= 100
         assert np.any(values == cal.gamma)
         assert np.sum(values > cal.gamma) <= math.ceil(cal.rate * values.size)
+
+    def test_calibration_runs_m_once_per_row(self, bench_data, bench_model,
+                                             bench_verifier, monkeypatch):
+        # M runs over the calibration rows, not over every pair's two rows,
+        # and gamma and the sample size are those of the pair discrepancies
+        _, x, y = bench_data
+        rows = np.asarray(bench_model.metadata["split_indices"]["test"][:60])
+        xc, yc = x[rows], y[rows]
+        n = rows.size
+        seen, predict = [], tv.predict_proba_batch
+        monkeypatch.setattr(tv, "predict_proba_batch", lambda model, z: (
+            seen.append(len(z)) or predict(model, z)))
+        for num_pairs in (n * (n - 1), 300):
+            seen.clear()
+            cal = calibrate_gamma(bench_model, bench_verifier, xc, yc,
+                                  rate=0.1, num_pairs=num_pairs, seed=4)
+            assert seen[0] == n   # M's pass; V's pass over the pairs follows
+            if num_pairs == 300:   # drawn as calibrate_gamma draws them
+                codes = tv._sample_codes(substream(4, "gamma-pairs"), n, 300,
+                                         lambda a, b: yc[a] != yc[b])
+                i, j = codes // n, codes % n
+            else:
+                i, j = np.nonzero(yc[:, None] != yc[None, :])
+            deltas = tv._discrepancy_batch(bench_model, bench_verifier,
+                                           xc[i], xc[j])
+            assert cal.gamma == gamma_from_deltas(deltas, 0.1)
+            assert cal.sample_size == deltas.size
 
 
 class TestPacGapTerms:
